@@ -1,5 +1,5 @@
 """Spatial attention: per-attribute affine region heads and differentiable
-region feature extraction via bilinear sampling."""
+region pooling with separable bilinear (tent) weights."""
 
 from __future__ import annotations
 
@@ -70,7 +70,12 @@ def region_vertices(p, H, W):
 
 
 class AttributeRegionHead(Module):
-    """conv 5x5x32 -> conv 5x5x16 -> mean-pool to 4x2 -> FC 32 -> FC 4."""
+    """conv 5x5x32 -> conv 5x5x16 -> mean-pool to 4x2 -> FC 32 -> FC 4.
+
+    Every head's conv1 reads the same primitive map, so the block runs them
+    all as one convolution (`SpatialAttentionBlock.raw_affines`); a head is
+    called on its own relu(conv1) channels.
+    """
 
     POOL_GRID = (4, 2)
 
@@ -84,9 +89,8 @@ class AttributeRegionHead(Module):
         # offset instead of a random perturbation of it
         self.fc2.weight.init_spec = "zeros"
 
-    def __call__(self, t_p):
-        x = ag.relu(self.conv1(t_p))
-        x = ag.relu(self.conv2(x))
+    def __call__(self, hidden):
+        x = ag.relu(self.conv2(hidden))
         x = adaptive_mean_pool(x, self.POOL_GRID)
         B = x.shape[0]
         x = x.reshape((B, -1))
@@ -108,7 +112,7 @@ class SpatialAttentionBlock(Module):
     """1x1x64 primitive conv plus one affine-region head per attribute.
 
     Regions are predicted in frame coordinates (H, W) per Eq. of the affine
-    corner map, then converted to normalized bounds and sampled on the
+    corner map, then converted to normalized bounds and pooled on the
     primitive feature map, which reconciles frame-space vertices with
     feature-space cropping.
     """
@@ -125,9 +129,20 @@ class SpatialAttentionBlock(Module):
     def primitive_map(self, fm):
         return ag.relu(self.primitive(fm))
 
-    def raw_affine(self, t_p, attribute_index):
-        raw = self.heads[attribute_index](t_p)
-        return raw + ag.Tensor(self.offsets[attribute_index].astype(t_p.dtype))
+    def raw_affines(self, t_p):
+        """Raw (pre-squash) affine params of every head, a list of (B, 4).
+
+        The heads' conv1 weights are concatenated into one 64 -> 32*N conv;
+        each head continues on its own block of output channels.
+        """
+        conv1s = [head.conv1 for head in self.heads]
+        weight = ag.concat([c.weight.tensor for c in conv1s], axis=0)
+        bias = ag.concat([c.bias.tensor for c in conv1s], axis=0)
+        hidden = ag.relu(ag.conv2d(t_p, weight, bias, pad=conv1s[0].pad))
+        width = conv1s[0].weight.shape[0]
+        return [head(hidden[:, n * width:(n + 1) * width])
+                + ag.Tensor(offset.astype(t_p.dtype))
+                for n, (head, offset) in enumerate(zip(self.heads, self.offsets))]
 
     def affine_tensors(self, raw):
         """Squashed (s_x, s_y, t_x, t_y) tensors, each (B,)."""
@@ -139,30 +154,28 @@ class SpatialAttentionBlock(Module):
         return s_x, s_y, t_x, t_y
 
     def region_feature(self, t_p, s_x, s_y, t_x, t_y):
-        """Mean of bilinear samples over the region, projected to d_v.
+        """Mean of the region's Hm x Wm bilinear samples, projected to d_v.
 
-        The sampling grid has the primitive map's own resolution, so a
+        The sample grid has the primitive map's own resolution, so a
         full-frame region reproduces exact cell values (and hence the global
-        mean pool). Region extent is floored at one feature-map cell.
+        mean pool). Region extent is floored at one feature-map cell, and
+        samples are clamped to the border. The bilinear kernel is separable
+        (Jaderberg et al. 2015, eq. 5), so the grid mean is
+        sum_hw wr[h] t_p[:, :, h, w] wc[w] / (Hm*Wm), where wr and wc sum
+        the row and column tents of all samples.
         """
         H, W = self.frame_hw
-        Hm, Wm = t_p.shape[2], t_p.shape[3]
-        B = t_p.shape[0]
+        B, C, Hm, Wm = t_p.shape
         one = ag.constant(1.0, like=t_p)
         top = t_x * ((Hm - 1) / H)
         left = t_y * ((Wm - 1) / W)
         ext_r = ag.hinge(s_x * float(Hm - 1) - one) + one
         ext_c = ag.hinge(s_y * float(Wm - 1) - one) + one
-        fr = np.linspace(0.0, 1.0, Hm).astype(t_p.dtype)  # fractions along the region
-        fc = np.linspace(0.0, 1.0, Wm).astype(t_p.dtype)
-        # rows (B, Hm), cols (B, Wm) -> full grid (B, Hm*Wm)
-        rows = top.reshape((B, 1)) + ext_r.reshape((B, 1)) * ag.Tensor(fr[None, :])
-        cols = left.reshape((B, 1)) + ext_c.reshape((B, 1)) * ag.Tensor(fc[None, :])
-        grid_r = ag.reshape(ag.stack([rows] * Wm, axis=2), (B, Hm * Wm))
-        grid_c = ag.reshape(ag.stack([cols] * Hm, axis=1), (B, Hm * Wm))
-        samples = ag.grid_sample(t_p, grid_r, grid_c)  # (B, 64, Hm*Wm)
-        pooled = ag.tmean(samples, axis=2)
-        return self.project(pooled)
+        wr = tent_weights(top, ext_r, Hm, like=t_p)
+        wc = tent_weights(left, ext_c, Wm, like=t_p)
+        x = ag.matmul(t_p.reshape((B, C * Hm, Wm)), wc.reshape((B, Wm, 1)))
+        x = ag.matmul(x.reshape((B, C, Hm)), wr.reshape((B, Hm, 1)))
+        return self.project(x.reshape((B, C)) / float(Hm * Wm))
 
     def __call__(self, fm, use_attention=True):
         """fm: (B, Cf, Hm, Wm) per-frame maps -> (B, N, d_v) initial features.
@@ -171,30 +184,41 @@ class SpatialAttentionBlock(Module):
         mean (spatial-attention ablation).
         """
         t_p = self.primitive_map(fm)
-        feats = []
-        raws = []
-        for n in range(self.n_attributes):
-            if use_attention:
-                raw = self.raw_affine(t_p, n)
-                s_x, s_y, t_x, t_y = self.affine_tensors(raw)
-                feats.append(self.region_feature(t_p, s_x, s_y, t_x, t_y))
-                raws.append(raw)
-            else:
-                pooled = ag.tmean(ag.tmean(t_p, axis=3), axis=2)
-                feats.append(self.project(pooled))
-        out = ag.stack(feats, axis=1)  # (B, N, d_v)
-        return out, raws
+        if not use_attention:
+            feats = [self.project(ag.tmean(ag.tmean(t_p, axis=3), axis=2))
+                     for _ in range(self.n_attributes)]
+            return ag.stack(feats, axis=1), []
+        raws = self.raw_affines(t_p)
+        feats = [self.region_feature(t_p, *self.affine_tensors(raw)) for raw in raws]
+        return ag.stack(feats, axis=1), raws  # (B, N, d_v)
 
     def describe_regions(self, fm):
         """Per-attribute squashed affine params and regions (numpy, no grad)."""
         t_p = self.primitive_map(fm)
         H, W = self.frame_hw
         out = []
-        for n in range(self.n_attributes):
-            raw = self.raw_affine(t_p, n).data
+        for raw in self.raw_affines(t_p):
+            raw = raw.data
             regions = []
             for b in range(raw.shape[0]):
                 p = squash_raw(raw[b], H, W)
                 regions.append((p, region_vertices(p, H, W)))
             out.append(regions)
         return out
+
+
+def tent_weights(start, extent, n, like):
+    """Summed bilinear weights of n samples spread evenly over a segment.
+
+    Sample i sits at start + extent * i / (n - 1), clamped to [0, n - 1];
+    knot k receives sum_i relu(1 - |sample_i - k|). start, extent: (B,).
+    Returns (B, n) in `like`'s dtype.
+    """
+    B = start.shape[0]
+    frac = np.linspace(0.0, 1.0, n).astype(like.dtype)
+    knots = np.arange(n, dtype=like.dtype)
+    pos = start.reshape((B, 1)) + extent.reshape((B, 1)) * ag.Tensor(frac[None, :])
+    pos = ag.relu(pos) - ag.relu(pos - float(n - 1))
+    d = pos.reshape((B, n, 1)) - ag.Tensor(knots[None, None, :])
+    tent = ag.relu(ag.constant(1.0, like=like) - (ag.relu(d) + ag.relu(-d)))
+    return ag.tsum(tent, axis=1)

@@ -2,9 +2,9 @@
 
 Covers exactly the primitive set the network needs: matmul, elementwise
 arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
-softmax / mean / max over an axis, stride-1 conv2d, and bilinear grid
-sampling. float32 is the training dtype; building graphs in float64 is
-supported for gradient checking.
+softmax / mean / max over an axis, and stride-1 conv2d. float32 is the
+training dtype; building graphs in float64 is supported for gradient
+checking.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "tmax",
     "hinge",
     "conv2d",
-    "grid_sample",
 ]
 
 
@@ -100,7 +99,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
-        return float(self.data)
+        if self.data.size != 1:
+            raise ShapeError("item", self.shape)
+        return float(self.data.reshape(()).item())
 
     def zero_grad(self):
         self.grad = None
@@ -506,70 +507,14 @@ def conv2d(x, weight, bias=None, pad=0):
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = (gcols @ wmat).reshape(B, Ho, Wo, C, kh, kw)
-            dx = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+            # col2im in channels-last layout: each tap adds a (B, Ho, Wo, C)
+            # slab whose channel rows are contiguous, then one transpose
+            wtap = weight.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
+            dcols = (gcols @ wtap).reshape(B, Ho, Wo, kh, kw, C)
+            dx = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dx[:, :, i:i + Ho, j:j + Wo] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            _accum(x, dx[:, :, pad:pad + H, pad:pad + W] if pad else dx)
+                    dx[:, i:i + Ho, j:j + Wo] += dcols[:, :, :, i, j]
+            _accum(x, dx[:, pad:pad + H, pad:pad + W].transpose(0, 3, 1, 2))
 
     return _make(out, parents, bwd, "conv2d")
-
-
-# --- bilinear grid sampling ----------------------------------------------
-
-def grid_sample(x, rows, cols):
-    """Bilinear sampling of x (B,C,H,W) at per-batch point sets.
-
-    rows, cols: (B, P) coordinates in pixel space ([0,H-1] x [0,W-1]),
-    clamped to the border. Returns (B, C, P). Differentiable in x and in
-    both coordinate tensors, so affine region parameters can be trained
-    through the sampler.
-    """
-    x, rows, cols = _as_tensor(x), _as_tensor(rows), _as_tensor(cols)
-    B, C, H, W = x.shape
-    if rows.shape != cols.shape or rows.shape[0] != B:
-        raise ShapeError("grid_sample", x.shape, rows.shape, cols.shape)
-    r = np.clip(rows.data, 0.0, H - 1)
-    c = np.clip(cols.data, 0.0, W - 1)
-    r0 = np.floor(r).astype(np.intp)
-    c0 = np.floor(c).astype(np.intp)
-    r0 = np.minimum(r0, H - 2) if H > 1 else r0 * 0
-    c0 = np.minimum(c0, W - 2) if W > 1 else c0 * 0
-    r1 = np.minimum(r0 + 1, H - 1)
-    c1 = np.minimum(c0 + 1, W - 1)
-    fr = (r - r0)[:, None, :]  # (B,1,P)
-    fc = (c - c0)[:, None, :]
-    bidx = np.arange(B)[:, None]
-    # gather x.data[b, :, r0[b,p], c0[b,p]] for all b,p -> (B,P,C)
-    g00 = x.data[bidx, :, r0, c0]
-    g01 = x.data[bidx, :, r0, c1]
-    g10 = x.data[bidx, :, r1, c0]
-    g11 = x.data[bidx, :, r1, c1]
-    # gathered shape (B, P, C) -> (B, C, P)
-    g00, g01, g10, g11 = (g.transpose(0, 2, 1) for g in (g00, g01, g10, g11))
-    w00 = (1 - fr) * (1 - fc)
-    w01 = (1 - fr) * fc
-    w10 = fr * (1 - fc)
-    w11 = fr * fc
-    out = w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11
-
-    def bwd(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            gp = g.transpose(0, 2, 1)  # (B,P,C)
-            np.add.at(dx, (bidx, slice(None), r0, c0), (w00.transpose(0, 2, 1) * gp))
-            np.add.at(dx, (bidx, slice(None), r0, c1), (w01.transpose(0, 2, 1) * gp))
-            np.add.at(dx, (bidx, slice(None), r1, c0), (w10.transpose(0, 2, 1) * gp))
-            np.add.at(dx, (bidx, slice(None), r1, c1), (w11.transpose(0, 2, 1) * gp))
-            _accum(x, dx)
-        if rows.requires_grad or cols.requires_grad:
-            # d(out)/dfr = (g10-g00)(1-fc) + (g11-g01)fc ; dfr/drow = 1 inside bounds
-            dfr = ((g10 - g00) * (1 - fc) + (g11 - g01) * fc)
-            dfc = ((g01 - g00) * (1 - fr) + (g11 - g10) * fr)
-            in_r = ((rows.data > 0.0) & (rows.data < H - 1)).astype(x.dtype)
-            in_c = ((cols.data > 0.0) & (cols.data < W - 1)).astype(x.dtype)
-            _accum(rows, (g * dfr).sum(axis=1) * in_r)
-            _accum(cols, (g * dfc).sum(axis=1) * in_c)
-
-    return _make(out, (x, rows, cols), bwd, "grid_sample")

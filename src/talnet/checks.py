@@ -23,7 +23,7 @@ def _rand(rng, shape):
 
 
 def check_spatial_attention(tol=1e-4, eps=1e-5, max_coords=60):
-    """End to end through the region heads and the bilinear sampler."""
+    """End to end through the region heads and the tent-weighted region pooling."""
     rng = np.random.default_rng(10)
     block = SpatialAttentionBlock(in_channels=6, n_attributes=2, d_v=5,
                                   frame_hw=(32, 16), fm_hw=(8, 4))

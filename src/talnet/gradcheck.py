@@ -26,6 +26,11 @@ class GradCheckReport:
     checked: int = 0
     worst: list = field(default_factory=list)
 
+    @property
+    def max_rel_err(self):
+        """Worst relative error over the checked coordinates (0.0 if none)."""
+        return self.worst[0].rel_err if self.worst else 0.0
+
     def summary(self):
         lines = [
             f"gradcheck: {'PASS' if self.passed else 'FAIL'} "

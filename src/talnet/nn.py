@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -124,7 +126,11 @@ def _t(param):
 # --- checkpoints --------------------------------------------------------
 
 def save_checkpoint(path, module, seed, config_hash):
-    """Zip container: JSON header + one raw little-endian array per parameter."""
+    """Zip container: JSON header + one raw little-endian array per parameter.
+
+    The zip is written to `path + ".tmp"` and then renamed over `path`, so an
+    interrupted save leaves the previous checkpoint intact.
+    """
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "seed": seed,
@@ -136,10 +142,17 @@ def save_checkpoint(path, module, seed, config_hash):
         arr = np.ascontiguousarray(p.data)
         header["params"][name] = {"shape": list(arr.shape), "dtype": str(arr.dtype)}
         blobs[name] = arr.astype("<" + arr.dtype.str[1:]).tobytes()
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        zf.writestr("header.json", json.dumps(header, indent=1, sort_keys=True))
-        for name, blob in blobs.items():
-            zf.writestr(f"params/{name}", blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED) as zf:
+            zf.writestr("header.json", json.dumps(header, indent=1, sort_keys=True))
+            for name, blob in blobs.items():
+                zf.writestr(f"params/{name}", blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, module):
@@ -152,6 +165,10 @@ def load_checkpoint(path, module):
         missing = set(header["params"]) ^ set(params)
         if missing:
             raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
+        for name, meta in header["params"].items():
+            if tuple(meta["shape"]) != params[name].shape:
+                raise ValueError(f"checkpoint shape {tuple(meta['shape'])} of {name} does not "
+                                 f"match the model's {params[name].shape}")
         for name, meta in header["params"].items():
             raw = zf.read(f"params/{name}")
             arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from talnet import autograd as ag
 from talnet.attention import (AffineParams, SpatialAttentionBlock,
-                              region_vertices, squash_raw)
+                              adaptive_mean_pool, region_vertices, squash_raw)
 from talnet.gradcheck import grad_check
 
 
@@ -97,8 +97,7 @@ def test_separate_heads_give_independent_params():
     block = _block(n_attributes=2)
     fm = ag.tensor(np.random.default_rng(2).normal(size=(1, 6, 8, 4)).astype(np.float32))
     t_p = block.primitive_map(fm)
-    raw0 = block.raw_affine(t_p, 0).data
-    raw1 = block.raw_affine(t_p, 1).data
+    raw0, raw1 = (raw.data for raw in block.raw_affines(t_p))
     assert not np.allclose(raw0, raw1)
 
 
@@ -107,9 +106,8 @@ def test_fresh_heads_start_at_vertical_strips():
     block = _block(n_attributes=4)
     fm = ag.tensor(np.random.default_rng(8).normal(size=(1, 6, 8, 4)).astype(np.float32))
     t_p = block.primitive_map(fm)
-    for n in range(4):
-        raw = block.raw_affine(t_p, n).data[0]
-        p = squash_raw(raw, 32, 16)
+    for n, raw in enumerate(block.raw_affines(t_p)):
+        p = squash_raw(raw.data[0], 32, 16)
         assert p.s_x == pytest.approx(0.25, abs=0.02)
         assert p.s_y > 0.9
         top = p.t_x / 32.0
@@ -151,7 +149,7 @@ def test_translation_gradient_nonzero_on_varying_map():
     ag.tsum(ag.square(out)).backward()
     assert t_x.grad is not None and abs(t_x.grad[0]) > 0
 
-    # finite-difference agreement through the sampler
+    # finite-difference agreement through the region pooling
     eps = 1e-6
     def val(tx):
         o = block.region_feature(t_p, ag.tensor([0.5], dtype=np.float64),
@@ -171,6 +169,86 @@ def test_degenerate_region_clamped_to_one_cell():
                                ag.tensor([0.0], dtype=np.float64),
                                ag.tensor([0.0], dtype=np.float64))
     assert np.all(np.isfinite(out.data))
+
+
+def _bilinear_oracle(img, r, c):
+    """Bilinear sample of img (C, H, W) at an in-bounds point (r, c)."""
+    _, H, W = img.shape
+    r0, c0 = min(int(np.floor(r)), H - 2), min(int(np.floor(c)), W - 2)
+    fr, fc = r - r0, c - c0
+    return ((1 - fr) * (1 - fc) * img[:, r0, c0] + (1 - fr) * fc * img[:, r0, c0 + 1]
+            + fr * (1 - fc) * img[:, r0 + 1, c0] + fr * fc * img[:, r0 + 1, c0 + 1])
+
+
+def _region_mean_oracle(t_p, s_x, s_y, t_x, t_y, frame_hw):
+    """Scalar loops: mean of the Hm x Wm border-clamped bilinear samples."""
+    H, W = frame_hw
+    B, C, Hm, Wm = t_p.shape
+    out = np.zeros((B, C))
+    for b in range(B):
+        top, left = t_x[b] * (Hm - 1) / H, t_y[b] * (Wm - 1) / W
+        ext_r, ext_c = max(s_x[b] * (Hm - 1), 1.0), max(s_y[b] * (Wm - 1), 1.0)
+        for i in range(Hm):
+            r = min(max(top + ext_r * i / (Hm - 1), 0.0), Hm - 1.0)
+            for j in range(Wm):
+                c = min(max(left + ext_c * j / (Wm - 1), 0.0), Wm - 1.0)
+                out[b] += _bilinear_oracle(t_p[b], r, c)
+    return out / (Hm * Wm)
+
+
+def test_bilinear_oracle_exact_points_and_interpolation():
+    src = np.arange(12.0).reshape(1, 3, 4)
+    assert [_bilinear_oracle(src, r, c)[0] for r, c in [(0, 0), (1, 3), (2, 2)]] == [0.0, 7.0, 10.0]
+    assert _bilinear_oracle(src, 0.5, 0.5)[0] == pytest.approx((0 + 1 + 4 + 5) / 4)
+
+
+@pytest.mark.parametrize("region", [
+    ((1.0, 1.0), (0.0, 0.0)),        # full frame: every sample on a cell centre
+    ((0.5, 1.0), (16.0, 0.0)),       # rows on cells 1, 2 and halfway between
+    ((0.5, 0.4), (0.0, 3.0)),        # interpolation along both axes
+    ((0.9, 0.8), (30.0, 14.0)),      # partly out of bounds: clamped to the border
+    ((0.7, 0.5), (-9.0, -4.0)),      # partly out of bounds on the other side
+    ((1e-6, 1e-6), (5.0, 2.0)),      # degenerate: extent floored at one cell
+])
+@pytest.mark.parametrize("hw", [(3, 4), (8, 4)])
+def test_region_feature_matches_scalar_sampler(region, hw):
+    (s_x, s_y), (t_x, t_y) = region
+    block = _block(dtype=np.float64)
+    rng = np.random.default_rng(hw[0])
+    t_p = rng.normal(size=(2, 64) + hw)
+    t_p[:, 0] = np.arange(hw[0] * hw[1]).reshape(hw)
+    s_x, s_y, t_x, t_y = (np.array([v, 0.3 + 0.5 * v]) for v in (s_x, s_y, t_x, t_y))
+    got = block.region_feature(ag.tensor(t_p, dtype=np.float64),
+                               *(ag.tensor(v, dtype=np.float64) for v in (s_x, s_y, t_x, t_y)))
+    pooled = _region_mean_oracle(t_p, s_x, s_y, t_x, t_y, block.frame_hw)
+    want = pooled @ block.project.weight.data.T + block.project.bias.data
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+
+def test_raw_affines_match_per_head_oracle():
+    block = _block(dtype=np.float64, seed=4, n_attributes=3)
+    rng = np.random.default_rng(44)
+    for head in block.heads:
+        head.fc2.weight.tensor.data[:] = rng.normal(scale=0.3, size=head.fc2.weight.shape)
+    fm = ag.tensor(rng.normal(size=(2, 6, 8, 4)), dtype=np.float64)
+    t_p = block.primitive_map(fm)
+    got = block.raw_affines(t_p)
+    ag.tsum(ag.square(ag.stack(got, axis=0))).backward()
+    fused_grads = {n: p.grad.copy() for n, p in block.named_parameters() if n.startswith("heads")}
+    block.zero_grad()
+
+    want = []
+    for head, offset in zip(block.heads, block.offsets):
+        x = ag.relu(head.conv1(t_p))
+        x = ag.relu(head.conv2(x))
+        x = adaptive_mean_pool(x, head.POOL_GRID).reshape((2, -1))
+        want.append(head.fc2(ag.relu(head.fc1(x))) + ag.tensor(offset, dtype=np.float64))
+    ag.tsum(ag.square(ag.stack(want, axis=0))).backward()
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g.data, w.data, rtol=1e-12, atol=1e-12)
+    for name, p in block.named_parameters():
+        if name.startswith("heads"):
+            np.testing.assert_allclose(fused_grads[name], p.grad, rtol=1e-10, atol=1e-12)
 
 
 def test_block_end_to_end_gradcheck():

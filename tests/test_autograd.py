@@ -44,20 +44,53 @@ def test_conv2d_identity_kernel():
     np.testing.assert_allclose(ag.conv2d(x, w).data, x.data)
 
 
-def test_grid_sample_exact_points():
-    src = np.arange(12.0).reshape(1, 1, 3, 4)
-    rows = ag.tensor([[0.0, 1.0, 2.0]], dtype=np.float64)
-    cols = ag.tensor([[0.0, 3.0, 2.0]], dtype=np.float64)
-    out = ag.grid_sample(ag.tensor(src, dtype=np.float64), rows, cols)
-    np.testing.assert_array_equal(out.data.ravel(), [0.0, 7.0, 10.0])
+def _conv2d_oracle(x, w, b, pad, g):
+    """Direct nested sums: conv output and the gradients of sum(out * g)."""
+    B, C, H, W = x.shape
+    Co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
+    out = np.zeros((B, Co, Ho, Wo))
+    dxp, dw, db = np.zeros_like(xp), np.zeros_like(w), np.zeros(Co)
+    for n in range(B):
+        for o in range(Co):
+            for r in range(Ho):
+                for c in range(Wo):
+                    out[n, o, r, c] = b[o]
+                    db[o] += g[n, o, r, c]
+                    for ci in range(C):
+                        for i in range(kh):
+                            for j in range(kw):
+                                out[n, o, r, c] += xp[n, ci, r + i, c + j] * w[o, ci, i, j]
+                                dw[o, ci, i, j] += g[n, o, r, c] * xp[n, ci, r + i, c + j]
+                                dxp[n, ci, r + i, c + j] += g[n, o, r, c] * w[o, ci, i, j]
+    return out, dxp[:, :, pad:pad + H, pad:pad + W], dw, db
 
 
-def test_grid_sample_interpolates():
-    src = np.arange(12.0).reshape(1, 1, 3, 4)
-    out = ag.grid_sample(ag.tensor(src, dtype=np.float64),
-                         ag.tensor([[0.5]], dtype=np.float64),
-                         ag.tensor([[0.5]], dtype=np.float64))
-    assert out.item() == pytest.approx((0 + 1 + 4 + 5) / 4)
+@pytest.mark.parametrize("channels", [(3, 2), (2, 4)])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_matches_nested_sum_oracle(k, pad, channels):
+    C, Co = channels
+    rng = np.random.default_rng(100 * k + 10 * pad + C)
+    x = ag.tensor(rng.normal(size=(2, C, 6, 5)), dtype=np.float64, requires_grad=True)
+    w = ag.tensor(rng.normal(size=(Co, C, k, k)), dtype=np.float64, requires_grad=True)
+    b = ag.tensor(rng.normal(size=(Co,)), dtype=np.float64, requires_grad=True)
+    out = ag.conv2d(x, w, b, pad=pad)
+    g = rng.normal(size=out.shape)
+    ag.tsum(ag.mul(out, ag.tensor(g, dtype=np.float64))).backward()
+    want_out, want_dx, want_dw, want_db = _conv2d_oracle(x.data, w.data, b.data, pad, g)
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, want_dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, want_dw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, want_db, rtol=1e-12, atol=1e-12)
+
+
+def test_item_on_size_one_tensor_of_any_rank():
+    assert ag.tensor(np.full((1, 1, 1), 2.5)).item() == 2.5
+    assert ag.tsum(ag.tensor(np.ones((2, 3)))).item() == 6.0
+    with pytest.raises(ag.ShapeError):
+        ag.tensor(np.ones(2)).item()
 
 
 def test_backward_accumulates_additively():

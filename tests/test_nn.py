@@ -103,6 +103,36 @@ def test_checkpoint_parameter_mismatch_rejected(tmp_path):
         load_checkpoint(path, other)
 
 
+def test_checkpoint_shape_mismatch_rejected(tmp_path):
+    path = tmp_path / "ckpt.zip"
+    save_checkpoint(path, Linear(2, 3).initialize(0), seed=0, config_hash="x")
+    other = Linear(3, 2).initialize(1)  # same parameter names, other shapes
+    before = other.weight.tensor
+    with pytest.raises(ValueError, match="shape"):
+        load_checkpoint(path, other)
+    assert other.weight.tensor is before
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    import zipfile
+
+    path = tmp_path / "ckpt.zip"
+    save_checkpoint(path, Linear(2, 2).initialize(0), seed=0, config_hash="x")
+    real_writestr = zipfile.ZipFile.writestr
+
+    def failing_writestr(self, name, data, *args, **kwargs):
+        if name.startswith("params/"):
+            raise OSError("disk full")
+        return real_writestr(self, name, data, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "writestr", failing_writestr)
+    with pytest.raises(OSError):
+        save_checkpoint(path, Linear(2, 2).initialize(1), seed=1, config_hash="y")
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.zip"]
+    assert load_checkpoint(path, Linear(2, 2).initialize(2))["seed"] == 0
+
+
 def test_checkpoint_version_check(tmp_path):
     import json
     import zipfile
