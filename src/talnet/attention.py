@@ -194,10 +194,11 @@ class SpatialAttentionBlock(Module):
 
     def describe_regions(self, fm):
         """Per-attribute squashed affine params and regions (numpy, no grad)."""
-        t_p = self.primitive_map(fm)
+        with ag.no_grad():
+            raws = self.raw_affines(self.primitive_map(fm))
         H, W = self.frame_hw
         out = []
-        for raw in self.raw_affines(t_p):
+        for raw in raws:
             raw = raw.data
             regions = []
             for b in range(raw.shape[0]):

@@ -9,6 +9,8 @@ checking.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -16,6 +18,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "set_check_finite",
+    "no_grad",
     "tensor",
     "zeros",
     "add",
@@ -66,6 +69,22 @@ def set_check_finite(flag):
     """Globally toggle per-op nan/inf detection (used by gradcheck)."""
     global _CHECK_FINITE
     _CHECK_FINITE = bool(flag)
+
+
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns a plain leaf, so
+    inference keeps no parents and no backward closures alive."""
+    global _GRAD_ENABLED
+    saved = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = saved
 
 
 class Tensor:
@@ -199,8 +218,7 @@ def _unbroadcast(grad, shape):
 
 
 def _make(data, parents, backward_fn, op):
-    req = any(p.requires_grad for p in parents)
-    if not req:
+    if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
         return Tensor(data, op=op)
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
 
@@ -335,14 +353,33 @@ def transpose(a, axes):
     return _make(out, (a,), bwd, "transpose")
 
 
+def _is_basic_index(idx):
+    """True for ints, slices, None and Ellipsis, or a tuple of these."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
+               for p in parts)
+
+
 def _slice(a, idx):
     a = _as_tensor(a)
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def bwd(g):
+        # a basic index hits each target once, so assignment and in-place
+        # addition are exact; a fancy one may repeat targets (np.add.at)
+        if basic and a.grad is not None:
+            a.grad[idx] += g
+            return
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accum(a, full)
+        if basic:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
+        if a.grad is None:
+            a.grad = full  # the scatter buffer becomes the first gradient
+        else:
+            a.grad += full
 
     return _make(out, (a,), bwd, "slice")
 

@@ -141,6 +141,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_dump_attention(args):
+    from . import autograd as ag
     from .data import split_clips, train_test_split
     from .nn import load_checkpoint
     from .trainer import build_model
@@ -158,8 +159,9 @@ def cmd_dump_attention(args):
         return EXIT_DATA
     clip = split_clips(seq, model.cfg.clip_len)[0]
     frames = clip.frames[None]  # single-clip batch
-    fm = model.extract_feature_maps(frames)
-    out = model.forward_feature_maps(fm, rng=np.random.default_rng(0))
+    with ag.no_grad():
+        fm = model.extract_feature_maps(frames)
+        out = model.forward_feature_maps(fm, rng=np.random.default_rng(0))
     lines = ["attribute\tframe\ttop\tleft\tbottom\tright"]
     flat = fm.reshape((fm.shape[0] * fm.shape[1],) + tuple(fm.shape[2:]))
     regions = model.attention.describe_regions(flat)

@@ -93,8 +93,10 @@ class TALNet(Module):
         return out
 
     def descriptors(self, frames):
-        """Inference-time clip descriptors (f_app, f_att) as numpy arrays."""
-        out = self.forward_clips(frames, rng=np.random.default_rng(0))
+        """Inference-time clip descriptors (f_app, f_att) as numpy arrays;
+        the forward records no graph."""
+        with ag.no_grad():
+            out = self.forward_clips(frames, rng=np.random.default_rng(0))
         f_app = out["f_app"].data if "f_app" in out else None
         f_att = out["f_att"].data if "f_att" in out else None
         return f_app, f_att

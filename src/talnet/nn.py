@@ -156,24 +156,28 @@ def save_checkpoint(path, module, seed, config_hash):
 
 
 def load_checkpoint(path, module):
-    """Load parameters in place; returns the header dict."""
-    with zipfile.ZipFile(path) as zf:
-        header = json.loads(zf.read("header.json"))
-        if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['format_version']}")
-        params = dict(module.named_parameters())
-        missing = set(header["params"]) ^ set(params)
-        if missing:
-            raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
-        for name, meta in header["params"].items():
-            if tuple(meta["shape"]) != params[name].shape:
-                raise ValueError(f"checkpoint shape {tuple(meta['shape'])} of {name} does not "
-                                 f"match the model's {params[name].shape}")
-        for name, meta in header["params"].items():
-            raw = zf.read(f"params/{name}")
-            arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))
-            arr = arr.reshape(meta["shape"]).astype(meta["dtype"])
-            params[name].tensor = Tensor(arr.copy(), requires_grad=True)
+    """Load parameters in place; returns the header dict. A truncated or
+    corrupt zip raises ValueError, as every other malformed checkpoint does."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            header = json.loads(zf.read("header.json"))
+            if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['format_version']}")
+            params = dict(module.named_parameters())
+            missing = set(header["params"]) ^ set(params)
+            if missing:
+                raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
+            for name, meta in header["params"].items():
+                if tuple(meta["shape"]) != params[name].shape:
+                    raise ValueError(f"checkpoint shape {tuple(meta['shape'])} of {name} does not "
+                                     f"match the model's {params[name].shape}")
+            for name, meta in header["params"].items():
+                raw = zf.read(f"params/{name}")
+                arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))
+                arr = arr.reshape(meta["shape"]).astype(meta["dtype"])
+                params[name].tensor = Tensor(arr.copy(), requires_grad=True)
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from None
     return header
 
 

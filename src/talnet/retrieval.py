@@ -1,4 +1,9 @@
-"""Video-level descriptors, fused distance, ranking, CMC and mAP."""
+"""Video-level descriptors, fused distance, ranking, CMC and mAP.
+
+A sequence's descriptor is the mean of its clips' descriptors. Embedding
+stacks the clips of all sequences and runs them through the model in
+chunks, with no autograd graph.
+"""
 
 from __future__ import annotations
 
@@ -25,20 +30,6 @@ class RankingResult:
     mean_ap: float
     per_query: list = field(default_factory=list)  # (sequence_id, ranked gallery ids, distances)
     skipped: int = 0
-
-
-def video_descriptor(seq, model, T):
-    """Split into clips, embed each, and average clip features per branch."""
-    clips = split_clips(seq, T)
-    frames = np.stack([c.frames for c in clips])  # (L, T, C, H, W)
-    f_app, f_att = model.descriptors(frames)
-    return EmbeddingRecord(
-        f_app=f_app.mean(axis=0) if f_app is not None else np.zeros(0, dtype=np.float32),
-        f_att=f_att.mean(axis=0) if f_att is not None else np.zeros(0, dtype=np.float32),
-        identity=seq.identity,
-        camera=seq.camera,
-        sequence_id=seq.sequence_id,
-    )
 
 
 def fused_distance(a, b, lambda_sim):
@@ -117,8 +108,35 @@ def raw_pixel_record(seq):
         identity=seq.identity, camera=seq.camera, sequence_id=seq.sequence_id)
 
 
+# Clips per forward. The region-head conv1 im2col holds 1,600 floats per
+# output pixel, so an unbounded batch would set the embedding's peak memory.
+_EMBED_CHUNK = 8
+
+
 def embed_sequences(sequences, model, T):
-    return [video_descriptor(s, model, T) for s in sequences]
+    """Split every sequence into clips, embed the clips of all sequences in
+    chunks of at most `_EMBED_CHUNK`, and average each sequence's clip
+    features per branch."""
+    if not sequences:
+        return []
+    clips = [split_clips(s, T) for s in sequences]
+    frames = [c.frames for seq_clips in clips for c in seq_clips]
+    chunks = [model.descriptors(np.stack(frames[i:i + _EMBED_CHUNK]))
+              for i in range(0, len(frames), _EMBED_CHUNK)]
+    f_app, f_att = (None if rows[0] is None else np.concatenate(rows) for rows in zip(*chunks))
+    records, lo = [], 0
+    for seq, seq_clips in zip(sequences, clips):
+        hi = lo + len(seq_clips)
+        records.append(EmbeddingRecord(
+            f_app=_clip_mean(f_app, lo, hi), f_att=_clip_mean(f_att, lo, hi),
+            identity=seq.identity, camera=seq.camera, sequence_id=seq.sequence_id))
+        lo = hi
+    return records
+
+
+def _clip_mean(f, lo, hi):
+    """Mean of clip rows lo:hi; zero-length when the branch is ablated."""
+    return f[lo:hi].mean(axis=0) if f is not None else np.zeros(0, dtype=np.float32)
 
 
 def query_gallery_split(sequences, query_camera=0):

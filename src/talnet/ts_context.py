@@ -1,6 +1,11 @@
 """Temporal-semantic context block: two-axis gated recurrence over the
 (attribute x time) lattice, context memory, attention scores, and the
-attention-weighted second pass with per-attribute classification heads."""
+attention-weighted second pass with per-attribute classification heads.
+
+Both recurrent passes run as a wavefront: the cells of an anti-diagonal
+a + t = k depend only on diagonal k - 1, so an N x T lattice takes N + T - 1
+batched steps (the diagonal evaluation of multi-dimensional RNNs, Graves et
+al. 2007)."""
 
 from __future__ import annotations
 
@@ -45,14 +50,22 @@ def ts_gru_step(cell, v, h_attr, h_time, normalize_gates=False):
     negative); normalize_gates optionally rescales (zA, zT) by their sum
     whenever it exceeds 1.
     """
-    z_a, z_t, _, _, h_cand = cell.gates(v, h_attr, h_time)
-    if normalize_gates:
-        z_a, z_t = _rescale_gates(z_a, z_t)
-    one = ag.constant(1.0, like=v)
-    h = z_a * h_attr + z_t * h_time + (one - z_a - z_t) * h_cand
+    h = _lattice_step(cell, v, h_attr, h_time, normalize_gates)
     if not np.all(np.isfinite(h.data)):
         raise ag.NonFiniteError("ts_gru_step")
     return h
+
+
+def _lattice_step(cell, v, h_attr, h_time, normalize_gates, s_attr=None, s_time=None):
+    """h = wA.h_attr + wT.h_time + (1 - wA - wT).h_cand with wA = sA.zA and
+    wT = sT.zT; the scores sA, sT (rows, 1) default to one."""
+    z_a, z_t, _, _, h_cand = cell.gates(v, h_attr, h_time)
+    if normalize_gates:
+        z_a, z_t = _rescale_gates(z_a, z_t)
+    if s_attr is not None:
+        z_a, z_t = s_attr * z_a, s_time * z_t
+    one = ag.constant(1.0, like=v)
+    return z_a * h_attr + z_t * h_time + (one - z_a - z_t) * h_cand
 
 
 def _rescale_gates(z_a, z_t):
@@ -62,34 +75,70 @@ def _rescale_gates(z_a, z_t):
     return z_a / denom, z_t / denom
 
 
-def _zero_state(B, d, dtype):
-    return ag.zeros((B, d), dtype=dtype)
+def _diagonals(N, T):
+    """Anti-diagonals k = a + t of the N x T lattice as (k, a_lo, a_hi), plus
+    the raster cell index a*T + t of every cell in diagonal-major order."""
+    diags, order = [], []
+    for k in range(N + T - 1):
+        lo, hi = max(0, k - T + 1), min(N - 1, k)
+        diags.append((k, lo, hi))
+        order.extend(a * T + k - a for a in range(lo, hi + 1))
+    return diags, np.array(order)
 
 
-def first_pass(cell, v):
-    """Fill the lattice in raster order; boundary states are zero vectors.
+def _to_diagonal_rows(x, order):
+    """(B, N, T, ...) -> (N*T*B, ...): rows cell-major in diagonal order."""
+    B, N, T = x.shape[:3]
+    rest = tuple(x.shape[3:])
+    cells = ag.transpose(x, (1, 2, 0) + tuple(range(3, x.data.ndim)))
+    return cells.reshape((N * T, B) + rest)[order].reshape((N * T * B,) + rest)
 
-    v: (B, N, T, d_v) -> hidden grid (B, N, T, d). Any topological order
-    gives the same result; raster over a then t is used.
+
+def _wavefront(cell, v, name, normalize_gates=False, a_s=None, a_t=None):
+    """Run the lattice recurrence one anti-diagonal at a time.
+
+    Cell (a, t) reads only (a-1, t) and (a, t-1), both on diagonal a+t-1, so
+    the m cells of a diagonal are one batched step over m*B rows. Boundary
+    predecessors are zero vectors. Returns the hidden grid (B, N, T, d).
     """
     B, N, T, _ = v.shape
     d = cell.hidden_dim
-    zero = _zero_state(B, d, v.dtype)
-    grid = [[None] * T for _ in range(N)]
-    for a in range(N):
-        for t in range(T):
-            h_attr = grid[a - 1][t] if a > 0 else zero
-            h_time = grid[a][t - 1] if t > 0 else zero
-            try:
-                grid[a][t] = ts_gru_step(cell, v[:, a, t, :], h_attr, h_time)
-            except ag.NonFiniteError:
-                raise ag.NonFiniteError(f"first_pass step (a={a}, t={t})") from None
-    return _stack_grid(grid)
+    diags, order = _diagonals(N, T)
+    x = _to_diagonal_rows(v, order)
+    if a_s is not None:
+        s_rows = _to_diagonal_rows(a_s.reshape((B, N, T, 1)), order)
+        t_rows = _to_diagonal_rows(a_t.reshape((B, N, T, 1)), order)
+    zero = ag.zeros((B, d), dtype=v.dtype)
+    states, start, prev, prev_lo = [], 0, ag.zeros((0, d), dtype=v.dtype), 0
+    for k, lo, hi in diags:
+        m = hi - lo + 1
+        # diagonal k-1 with a zero state on each side holds cells prev_lo-1
+        # .. prev_hi+1; the predecessors (a-1, t) and (a, t-1) sit at a-1 and a
+        padded = ag.concat([zero, prev, zero], axis=0)
+        off = lo - prev_lo
+        h_attr = padded[off * B:(off + m) * B]
+        h_time = padded[(off + 1) * B:(off + m + 1) * B]
+        rows = slice(start * B, (start + m) * B)
+        scores = (s_rows[rows], t_rows[rows]) if a_s is not None else ()
+        h = _lattice_step(cell, x[rows], h_attr, h_time, normalize_gates, *scores)
+        bad = ~np.isfinite(h.data).all(axis=1)
+        if bad.any():
+            a = lo + int(np.argmax(bad)) // B
+            raise ag.NonFiniteError(f"{name} step (a={a}, t={k - a})")
+        states.append(h)
+        start, prev, prev_lo = start + m, h, lo
+    grid = ag.concat(states, axis=0).reshape((N * T, B, d))[np.argsort(order)]
+    return ag.transpose(grid.reshape((N, T, B, d)), (2, 0, 1, 3))
 
 
-def _stack_grid(grid):
-    rows = [ag.stack(row, axis=1) for row in grid]  # each (B, T, d)
-    return ag.stack(rows, axis=1)  # (B, N, T, d)
+def first_pass(cell, v):
+    """Fill the lattice; boundary states are zero vectors.
+
+    v: (B, N, T, d_v) -> hidden grid (B, N, T, d). Any topological order
+    gives the same result; the lattice runs as a wavefront over the
+    anti-diagonals a + t = k.
+    """
+    return _wavefront(cell, v, "first_pass")
 
 
 def build_context(h):
@@ -129,30 +178,12 @@ class AttentionScorer(Module):
 def second_pass(cell, v, a_s, a_t, normalize_gates=False):
     """Attention-weighted lattice: h' = aS.zA.h'_attr + aT.zT.h'_time
     + (1 - aS.zA - aT.zT).h_cand, with gates computed from the second pass's
-    own predecessor states.
+    own predecessor states. Runs as the same wavefront as `first_pass`.
 
     v: (B, N, T, din) input per step (the first-pass hidden states by
     default); a_s, a_t: (B, N, T) scores.
     """
-    B, N, T, _ = v.shape
-    d = cell.hidden_dim
-    zero = _zero_state(B, d, v.dtype)
-    one = ag.constant(1.0, like=v)
-    grid = [[None] * T for _ in range(N)]
-    for a in range(N):
-        for t in range(T):
-            h_attr = grid[a - 1][t] if a > 0 else zero
-            h_time = grid[a][t - 1] if t > 0 else zero
-            z_a, z_t, _, _, h_cand = cell.gates(v[:, a, t, :], h_attr, h_time)
-            if normalize_gates:
-                z_a, z_t = _rescale_gates(z_a, z_t)
-            w_a = a_s[:, a, t].reshape((B, 1)) * z_a
-            w_t = a_t[:, a, t].reshape((B, 1)) * z_t
-            h = w_a * h_attr + w_t * h_time + (one - w_a - w_t) * h_cand
-            if not np.all(np.isfinite(h.data)):
-                raise ag.NonFiniteError(f"second_pass step (a={a}, t={t})")
-            grid[a][t] = h
-    return _stack_grid(grid)
+    return _wavefront(cell, v, "second_pass", normalize_gates, a_s, a_t)
 
 
 def attribute_readout(hgrid):

@@ -279,3 +279,17 @@ def test_describe_regions_shapes():
     params, region = regions[0][0]
     assert 0 < params.s_x <= 1.0
     assert len(region.vertices) == 4
+
+
+def test_describe_regions_records_no_graph(monkeypatch):
+    block = _block(n_attributes=2)
+    fm = ag.tensor(np.random.default_rng(8).normal(size=(2, 6, 8, 4)).astype(np.float32))
+    original, raws = block.raw_affines, []
+
+    def spy(t_p):
+        raws.extend(original(t_p))
+        return raws
+
+    monkeypatch.setattr(block, "raw_affines", spy)
+    block.describe_regions(fm)
+    assert raws and all(r._parents == () and not r.requires_grad for r in raws)

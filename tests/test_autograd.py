@@ -187,3 +187,53 @@ def test_concat_and_slice_roundtrip():
     ag.tsum(cat[:, 3:]).backward()
     np.testing.assert_array_equal(a.grad, np.zeros((2, 3)))
     np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+
+
+# --- no_grad ---------------------------------------------------------------
+
+
+def test_no_grad_outputs_are_plain_leaves():
+    w = ag.tensor(np.ones((3, 2)), dtype=np.float64, requires_grad=True)
+    x = ag.tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64)
+    with ag.no_grad():
+        y = ag.tanh(ag.matmul(x, w))[0:1]
+    assert y._parents == () and y._backward is None and not y.requires_grad
+    np.testing.assert_array_equal(y.data, np.tanh(x.data @ w.data)[0:1])
+
+
+def test_no_grad_restores_flag_after_nesting_and_exceptions():
+    w = ag.tensor(np.ones(3), dtype=np.float64, requires_grad=True)
+    with ag.no_grad():
+        with ag.no_grad():
+            pass
+        assert not ag.tsum(w).requires_grad  # the inner exit keeps it off
+    with pytest.raises(RuntimeError):
+        with ag.no_grad():
+            raise RuntimeError("boom")
+    loss = ag.tsum(ag.square(w))
+    assert loss.requires_grad
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, 2.0 * w.data)
+
+
+# --- slice backward ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("idx", [
+    (slice(None), 2),  # basic
+    (slice(1, None, 2), Ellipsis, None),  # basic, strided, new axis
+    np.int64(1),  # basic, numpy integer
+    np.array([2, 0]),  # fancy
+    (slice(None), np.array([1, 1, 3, 1])),  # fancy, repeated
+])
+def test_slice_backward_matches_add_at(idx):
+    rng = np.random.default_rng(5)
+    x = ag.tensor(rng.normal(size=(3, 4, 5)), dtype=np.float64, requires_grad=True)
+    out = x[idx]
+    g = rng.normal(size=out.shape)
+    prior = rng.normal(size=x.shape)  # backward adds into an existing grad
+    x.grad = prior.copy()
+    ag.tsum(ag.mul(out, ag.tensor(g, dtype=np.float64))).backward()
+    scattered = np.zeros(x.shape)
+    np.add.at(scattered, idx, g)
+    np.testing.assert_array_equal(x.grad, prior + scattered)

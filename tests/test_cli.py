@@ -114,3 +114,18 @@ def test_config_file_round_trip(tmp_path, capsys):
     manifest = open(os.path.join(out, "manifest.tsv")).read().splitlines()
     # header + 3 ids x 2 seqs
     assert len(manifest) == 1 + 6
+
+
+def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--out", run_dir, "--quiet"] + TINY) == EXIT_OK
+    ckpt = os.path.join(run_dir, "checkpoint.zip")
+    assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "ok")] + TINY) == EXIT_OK
+    blob = open(ckpt, "rb").read()
+    half = str(tmp_path / "half.zip")
+    with open(half, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", half, "--out", str(tmp_path / "o")] + TINY)
+    assert rc == EXIT_DATA
+    assert "unreadable checkpoint" in capsys.readouterr().err

@@ -1,13 +1,18 @@
 """Oracle tests for descriptors, fused distance, and CMC / mAP ranking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talnet.retrieval import (EmbeddingRecord, evaluate,
+from talnet.config import ModelConfig
+from talnet.data import VideoDataset, split_clips
+from talnet.retrieval import (EmbeddingRecord, embed_sequences, evaluate,
                               fused_distance, metrics_report,
                               query_gallery_split, raw_pixel_record)
+from talnet.trainer import build_model
 
 # --- brute-force ranking oracle ----------------------------------------------
 
@@ -236,3 +241,31 @@ def test_metrics_report_format():
     text = metrics_report(res)
     assert "rank-1\t1.0000" in text
     assert "mAP\t1.0000" in text
+
+
+# --- embedding -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("use_att", [True, False])
+def test_embed_sequences_matches_each_sequence_embedded_alone(tiny_dataset, use_att):
+    """Batched chunks must reproduce the per-sequence clip mean; a 10-clip
+    sequence crosses a chunk boundary and a 3-frame one is padded."""
+    cfg = ModelConfig(backbone_channels=(4, 8), clip_len=4, d_v=8, d=8, attention_hidden=8,
+                      d_g=8, d_p=8, use_att=use_att)
+    long_seq = replace(tiny_dataset.sequences[0],
+                       frames=np.concatenate([s.frames for s in tiny_dataset.sequences[:4]]))
+    seqs = [long_seq, replace(tiny_dataset.sequences[1], frames=tiny_dataset.sequences[1].frames[:3])]
+    seqs += tiny_dataset.sequences[2:5]
+    model = build_model(cfg, VideoDataset(tiny_dataset.schema, seqs), seed=0)
+    records = embed_sequences(seqs, model, cfg.clip_len)
+    assert len(records) == len(seqs)
+    for seq, rec in zip(seqs, records):
+        assert (rec.identity, rec.camera, rec.sequence_id) == \
+            (seq.identity, seq.camera, seq.sequence_id)
+        f_app, f_att = model.descriptors(np.stack([c.frames for c in split_clips(seq, 4)]))
+        np.testing.assert_allclose(rec.f_app, f_app.mean(axis=0), rtol=1e-4, atol=1e-5)
+        if use_att:
+            np.testing.assert_allclose(rec.f_att, f_att.mean(axis=0), rtol=1e-4, atol=1e-5)
+        else:
+            assert rec.f_att.shape == (0,)
+    assert embed_sequences([], model, cfg.clip_len) == []

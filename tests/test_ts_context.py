@@ -2,6 +2,7 @@
 independent scalar-loop re-implementation on random small instances."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,6 +309,36 @@ def test_second_pass_matches_loop_oracle(seed):
     out = second_pass(cell, v, ag.tensor(a_s, dtype=np.float64),
                       ag.tensor(a_t, dtype=np.float64)).data
     np.testing.assert_allclose(out, _second_pass_oracle(cell, v.data, a_s, a_t), atol=1e-6)
+
+
+@pytest.mark.parametrize("N,T", [(4, 2), (2, 5), (3, 3)])
+def test_wavefront_matches_loop_oracles_on_rectangular_lattices(N, T):
+    rng = np.random.default_rng(N * 10 + T)
+    cell1, cell2 = _cell64(3, 4, N), _cell64(4, 4, T)
+    v = ag.tensor(rng.normal(size=(2, N, T, 3)), dtype=np.float64)
+    h1 = first_pass(cell1, v)
+    np.testing.assert_allclose(h1.data, _first_pass_oracle(cell1, v.data), atol=1e-10)
+    a_s = rng.uniform(size=(2, N, T))
+    a_t = rng.uniform(size=(2, N, T))
+    h2 = second_pass(cell2, h1, ag.tensor(a_s, dtype=np.float64),
+                     ag.tensor(a_t, dtype=np.float64))
+    np.testing.assert_allclose(h2.data, _second_pass_oracle(cell2, h1.data, a_s, a_t),
+                               atol=1e-10)
+
+
+@pytest.mark.parametrize("pass_name", ["first_pass", "second_pass"])
+def test_non_finite_cell_is_named(pass_name):
+    N, T = 3, 4
+    cell = _cell64(4, 4, 12)
+    v = np.random.default_rng(13).normal(size=(2, N, T, 4))
+    v[1, 2, 1, 0] = np.nan  # cell (a=2, t=1); the cells it feeds come later
+    v = ag.tensor(v, dtype=np.float64)
+    ones = ag.tensor(np.ones((2, N, T)), dtype=np.float64)
+    with pytest.raises(ag.NonFiniteError, match=rf"{pass_name} step \(a=2, t=1\)"):
+        if pass_name == "first_pass":
+            first_pass(cell, v)
+        else:
+            second_pass(cell, v, ones, ones)
 
 
 # --- readout and heads --------------------------------------------------------
