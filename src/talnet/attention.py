@@ -100,12 +100,11 @@ class AttributeRegionHead(Module):
 
 def adaptive_mean_pool(x, grid):
     """Average (B,C,H,W) down to a fixed (gh, gw) grid; H,W must divide."""
-    B, C, H, W = x.shape
+    _, _, H, W = x.shape
     gh, gw = grid
     if H % gh or W % gw:
         raise ag.ShapeError("adaptive_mean_pool", x.shape, (gh, gw))
-    x = x.reshape((B, C, gh, H // gh, gw, W // gw))
-    return ag.tmean(ag.tmean(x, axis=5), axis=3)
+    return ag.avg_pool(x, H // gh, W // gw)
 
 
 class SpatialAttentionBlock(Module):

@@ -2,9 +2,11 @@
 
 Covers exactly the primitive set the network needs: matmul, elementwise
 arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
-softmax / mean / max over an axis, and stride-1 conv2d. float32 is the
-training dtype; building graphs in float64 is supported for gradient
-checking.
+softmax / mean / max over an axis, means over non-overlapping windows
+(`avg_pool`), and stride-1 conv2d. conv2d lowers to one GEMM over
+channels-last patch rows (B*Ho*Wo, kh*kw*C) and computes its input gradient
+in the same layout. float32 is the training dtype; building graphs in
+float64 is supported for gradient checking.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "tmean",
     "tmax",
     "hinge",
+    "avg_pool",
     "conv2d",
 ]
 
@@ -233,8 +236,10 @@ def add(a, b):
         raise ShapeError("add", a.shape, b.shape) from None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _make(out, (a, b), bwd, "add")
 
@@ -247,8 +252,10 @@ def sub(a, b):
         raise ShapeError("sub", a.shape, b.shape) from None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g, b.shape))
 
     return _make(out, (a, b), bwd, "sub")
 
@@ -261,8 +268,10 @@ def mul(a, b):
         raise ShapeError("mul", a.shape, b.shape) from None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out, (a, b), bwd, "mul")
 
@@ -275,8 +284,10 @@ def div(a, b):
         raise ShapeError("div", a.shape, b.shape) from None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out, (a, b), bwd, "div")
 
@@ -289,13 +300,15 @@ def matmul(a, b):
 
     def bwd(g):
         if b.data.ndim == 1:
-            _accum(a, np.outer(g, b.data) if a.data.ndim == 2 else g * b.data)
-            _accum(b, a.data.T @ g if a.data.ndim == 2 else a.data * g)
-        else:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accum(a, _unbroadcast(ga, a.shape))
-            _accum(b, _unbroadcast(gb, b.shape))
+            if a.requires_grad:
+                _accum(a, np.outer(g, b.data) if a.data.ndim == 2 else g * b.data)
+            if b.requires_grad:
+                _accum(b, a.data.T @ g if a.data.ndim == 2 else a.data * g)
+            return
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out, (a, b), bwd, "matmul")
 
@@ -510,18 +523,63 @@ def softmax(a, axis):
     return _make(out, (a,), bwd, "softmax")
 
 
-# --- conv2d -------------------------------------------------------------
+# --- pooling and conv2d ------------------------------------------------
+
+def avg_pool(a, fh, fw):
+    """Means over non-overlapping fh x fw windows of (B, C, H, W).
+
+    H and W must be multiples of the window. The forward sums the window's
+    columns, divides by fw, then sums its rows and divides by fh, which is
+    the float order of a mean over the width axis followed by one over the
+    height axis. The first gradient is written as g / fh / fw straight into
+    a fresh buffer, so no intermediate node or gradient is kept.
+    """
+    a = _as_tensor(a)
+    B, C, H, W = a.shape
+    if H % fh or W % fw:
+        raise ShapeError("avg_pool", a.shape, (fh, fw))
+    windows = (B, C, H // fh, fh, W // fw, fw)
+    x = a.data.reshape(windows)
+    rows = x[..., 0]
+    for j in range(1, fw):
+        rows = rows + x[..., j]
+    rows = rows / fw
+    out = rows[:, :, :, 0]
+    for i in range(1, fh):
+        out = out + rows[:, :, :, i]
+    out = out / fh
+
+    def bwd(g):
+        cell = (g / fh / fw)[:, :, :, None, :, None]
+        if a.grad is None:
+            a.grad = np.empty(a.shape, dtype=a.dtype)
+            a.grad.reshape(windows)[...] = cell
+        else:
+            a.grad += np.broadcast_to(cell, windows).reshape(a.shape)
+
+    return _make(out, (a,), bwd, "mean")
+
 
 def _im2col(x, kh, kw, pad):
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # (B, C, Ho, Wo, kh, kw) -> (B, Ho, Wo, C, kh, kw)
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    """Patch rows of (B, C, H, W) in channels-last order: (B, Ho, Wo, kh, kw, C).
+
+    The input is padded into a zeroed NHWC buffer, so every window copies
+    runs of C contiguous floats.
+    """
+    B, C, H, W = x.shape
+    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
+    xp[:, pad:pad + H, pad:pad + W] = x.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    # (B, Ho, Wo, C, kh, kw) -> (B, Ho, Wo, kh, kw, C)
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
 
 def conv2d(x, weight, bias=None, pad=0):
-    """Stride-1 2-D convolution (cross-correlation): x (B,C,H,W), weight (Co,C,kh,kw)."""
+    """Stride-1 2-D convolution (cross-correlation): x (B,C,H,W), weight (Co,C,kh,kw).
+
+    Lowered to one GEMM over channels-last patch rows (Chellapilla et al.
+    2006): each output sums over (kh, kw, C) in that order.
+    """
     x, weight = _as_tensor(x), _as_tensor(weight)
     B, C, H, W = x.shape
     Co, Ci, kh, kw = weight.shape
@@ -530,23 +588,23 @@ def conv2d(x, weight, bias=None, pad=0):
     Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError("conv2d", x.shape, weight.shape)
-    cols = _im2col(x.data, kh, kw, pad).reshape(B * Ho * Wo, C * kh * kw)
-    wmat = weight.data.reshape(Co, C * kh * kw)
-    out = (cols @ wmat.T).reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2)
+    cols = _im2col(x.data, kh, kw, pad).reshape(B * Ho * Wo, kh * kw * C)
+    wtap = weight.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
+    out = np.ascontiguousarray((cols @ wtap.T).reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2))
     if bias is not None:
-        out = out + bias.data.reshape(1, Co, 1, 1)
-    out = np.ascontiguousarray(out)
+        out += bias.data.reshape(1, Co, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
         gcols = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Co)
-        _accum(weight, (gcols.T @ cols).reshape(weight.shape))
-        if bias is not None:
+        if weight.requires_grad:
+            gw = (gcols.T @ cols).reshape(Co, kh, kw, C)
+            _accum(weight, gw.transpose(0, 3, 1, 2))
+        if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             # col2im in channels-last layout: each tap adds a (B, Ho, Wo, C)
             # slab whose channel rows are contiguous, then one transpose
-            wtap = weight.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
             dcols = (gcols @ wtap).reshape(B, Ho, Wo, kh, kw, C)
             dx = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
             for i in range(kh):

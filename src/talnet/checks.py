@@ -13,6 +13,7 @@ from . import autograd as ag
 from . import losses
 from .appearance import AppearanceBranch
 from .attention import SpatialAttentionBlock
+from .backbone import ConvBackbone
 from .gradcheck import grad_check
 from .nn import Module
 from .ts_context import AttentionScorer, TSGRUCell, build_context, first_pass, second_pass
@@ -20,6 +21,19 @@ from .ts_context import AttentionScorer, TSGRUCell, build_context, first_pass, s
 
 def _rand(rng, shape):
     return ag.tensor(rng.normal(scale=0.5, size=shape), dtype=np.float64)
+
+
+def check_backbone(tol=1e-4, eps=1e-5, max_coords=40):
+    """Two conv blocks: conv2d, relu and the 2x2 window-mean pool between them."""
+    rng = np.random.default_rng(9)
+    backbone = ConvBackbone(3, (4, 5)).initialize(9, dtype=np.float64)
+    frames = _rand(rng, (2, 3, 8, 6))
+
+    def f():
+        return ag.tmean(ag.square(backbone(frames)))
+
+    return grad_check(f, backbone.parameters(), eps=eps, tol=tol,
+                      max_coords_per_param=max_coords)
 
 
 def check_spatial_attention(tol=1e-4, eps=1e-5, max_coords=60):
@@ -128,6 +142,7 @@ def check_ce_loss(tol=1e-4, eps=1e-5):
 
 
 ALL_CHECKS = {
+    "backbone": check_backbone,
     "spatial_attention": check_spatial_attention,
     "ts_gru_lattice": check_ts_gru_lattice,
     "second_pass": check_second_pass,

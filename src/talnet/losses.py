@@ -9,11 +9,15 @@ from . import autograd as ag
 
 
 def pairwise_sqdist(features):
-    """Squared Euclidean distances between all rows of (B, d) -> (B, B)."""
+    """Squared Euclidean distances between all rows of (B, d) -> (B, B).
+
+    Each entry is one (1 x d)(d x 1) product of the row difference with
+    itself, the same dot product as `diff @ diff` on the two rows.
+    """
     B, d = features.shape
-    a = features.reshape((B, 1, d))
-    b = features.reshape((1, B, d))
-    return ag.tsum(ag.square(a - b), axis=2)
+    diff = features.reshape((B, 1, d)) - features.reshape((1, B, d))
+    sq = ag.matmul(diff.reshape((B, B, 1, d)), diff.reshape((B, B, d, 1)))
+    return sq.reshape((B, B))
 
 
 def triplet_batch_hard(features, I, V, margin, squared=True):
@@ -29,7 +33,7 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
     dist = pairwise_sqdist(features)
     if not squared:
         dist = _sqrt(dist)
-    terms = []
+    total = None
     m = ag.constant(margin, like=features)
     for i in range(I):
         lo, hi = i * V, (i + 1) * V
@@ -43,8 +47,11 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
             else:
                 negs = ag.concat([row[:lo], row[hi:]], axis=0)
             hardest_neg = -ag.tmax(-negs, axis=0)
-            terms.append(ag.hinge(m + hardest_pos - hardest_neg))
-    return ag.tsum(ag.stack(terms, axis=0))
+            term = ag.hinge(m + hardest_pos - hardest_neg)
+            # one addition at a time in anchor order: the float order of a
+            # scalar loop over anchors, which criterion 4 compares bitwise
+            total = term if total is None else total + term
+    return total
 
 
 def _sqrt(x):

@@ -72,9 +72,22 @@ def _conv2d_oracle(x, w, b, pad, g):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_matches_nested_sum_oracle(k, pad, channels):
     C, Co = channels
-    rng = np.random.default_rng(100 * k + 10 * pad + C)
+    _check_conv2d_oracle(np.random.default_rng(100 * k + 10 * pad + C), C, Co, k, k, pad)
+
+
+@pytest.mark.parametrize("kernel,pad,channels", [
+    ((1, 3), 0, (1, 2)), ((3, 1), 1, (2, 3)), ((5, 3), 2, (1, 1)),
+    ((2, 4), 1, (3, 2)), ((3, 5), 2, (1, 4)),
+])
+def test_conv2d_rectangular_and_single_channel_match_oracle(kernel, pad, channels):
+    (kh, kw), (C, Co) = kernel, channels
+    rng = np.random.default_rng(1000 * kh + 100 * kw + 10 * pad + C)
+    _check_conv2d_oracle(rng, C, Co, kh, kw, pad)
+
+
+def _check_conv2d_oracle(rng, C, Co, kh, kw, pad):
     x = ag.tensor(rng.normal(size=(2, C, 6, 5)), dtype=np.float64, requires_grad=True)
-    w = ag.tensor(rng.normal(size=(Co, C, k, k)), dtype=np.float64, requires_grad=True)
+    w = ag.tensor(rng.normal(size=(Co, C, kh, kw)), dtype=np.float64, requires_grad=True)
     b = ag.tensor(rng.normal(size=(Co,)), dtype=np.float64, requires_grad=True)
     out = ag.conv2d(x, w, b, pad=pad)
     g = rng.normal(size=out.shape)
@@ -84,6 +97,48 @@ def test_conv2d_matches_nested_sum_oracle(k, pad, channels):
     np.testing.assert_allclose(x.grad, want_dx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(w.grad, want_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(b.grad, want_db, rtol=1e-12, atol=1e-12)
+
+
+def _window_mean_chain(x, fh, fw):
+    B, C, H, W = x.shape
+    x = x.reshape((B, C, H // fh, fh, W // fw, fw))
+    return ag.tmean(ag.tmean(x, axis=5), axis=3)
+
+
+@pytest.mark.parametrize("prior_grad", ["none", "contiguous", "strided"])
+@pytest.mark.parametrize("window", [(2, 2), (2, 1), (1, 3), (3, 2), (2, 3)])
+def test_avg_pool_bitwise_equals_mean_chain(window, prior_grad):
+    fh, fw = window
+    rng = np.random.default_rng(10 * fh + fw)
+    data = rng.normal(size=(2, 3, 4 * fh, 3 * fw)).astype(np.float32)
+    if prior_grad == "strided":
+        # a transposed view, so a gradient laid out like it is not C-contiguous
+        data = np.ascontiguousarray(data.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    g = rng.normal(size=(2, 3, 4, 3)).astype(np.float32)
+    prior = rng.normal(size=data.shape).astype(np.float32)
+    got = []
+    for pool in (_window_mean_chain, ag.avg_pool):
+        x = ag.tensor(data, requires_grad=True)
+        if prior_grad != "none":
+            x.grad = np.zeros_like(x.data)  # keeps the data's memory layout
+            x.grad += prior
+            assert x.grad.flags.c_contiguous == (prior_grad == "contiguous")
+        out = pool(x, fh, fw)
+        ag.tsum(ag.mul(out, ag.tensor(g))).backward()
+        got.append((out.data, x.grad))
+    (want_out, want_grad), (out, grad) = got
+    assert out.dtype == grad.dtype == np.float32
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_avg_pool_is_one_mean_node_and_checks_divisibility():
+    x = ag.tensor(np.ones((1, 2, 4, 6)), requires_grad=True)
+    out = ag.avg_pool(x, 2, 3)
+    assert out.shape == (1, 2, 2, 2) and out._op == "mean" and out._parents == (x,)
+    with pytest.raises(ag.ShapeError) as exc:
+        ag.avg_pool(x, 3, 2)
+    assert exc.value.op == "avg_pool"
 
 
 def test_item_on_size_one_tensor_of_any_rank():
