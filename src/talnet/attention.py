@@ -168,8 +168,8 @@ class SpatialAttentionBlock(Module):
         one = ag.constant(1.0, like=t_p)
         top = t_x * ((Hm - 1) / H)
         left = t_y * ((Wm - 1) / W)
-        ext_r = ag.hinge(s_x * float(Hm - 1) - one) + one
-        ext_c = ag.hinge(s_y * float(Wm - 1) - one) + one
+        ext_r = ag.relu(s_x * float(Hm - 1) - one) + one
+        ext_c = ag.relu(s_y * float(Wm - 1) - one) + one
         wr = tent_weights(top, ext_r, Hm, like=t_p)
         wc = tent_weights(left, ext_c, Wm, like=t_p)
         x = ag.matmul(t_p.reshape((B, C * Hm, Wm)), wc.reshape((B, Wm, 1)))

@@ -42,7 +42,6 @@ __all__ = [
     "tsum",
     "tmean",
     "tmax",
-    "hinge",
     "avg_pool",
     "conv2d",
 ]
@@ -457,11 +456,6 @@ def square(a):
         _accum(a, 2.0 * g * a.data)
 
     return _make(out, (a,), bwd, "square")
-
-
-def hinge(a):
-    """Elementwise max(a, 0); subgradient 0 at the kink."""
-    return relu(a)
 
 
 # --- reductions ---------------------------------------------------------

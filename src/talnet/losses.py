@@ -47,7 +47,7 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
             else:
                 negs = ag.concat([row[:lo], row[hi:]], axis=0)
             hardest_neg = -ag.tmax(-negs, axis=0)
-            term = ag.hinge(m + hardest_pos - hardest_neg)
+            term = ag.relu(m + hardest_pos - hardest_neg)
             # one addition at a time in anchor order: the float order of a
             # scalar loop over anchors, which criterion 4 compares bitwise
             total = term if total is None else total + term
@@ -74,17 +74,12 @@ def ce_label_smooth(logits, targets, epsilon, num_classes=None):
     return -ag.tmean(ag.log(smoothed))
 
 
-def appearance_loss(global_feat, part_feats, logits, targets, I, V, margin,
-                    epsilon, triplet_on_concat=False):
+def appearance_loss(global_feat, part_feats, logits, targets, I, V, margin, epsilon):
     """L_app = sum of triplet terms over (global, parts) plus label-smoothed
     CE over the matching identity heads. `logits` is [global, part_1..H]."""
-    if triplet_on_concat:
-        cat = ag.concat([global_feat] + list(part_feats), axis=1)
-        tri = triplet_batch_hard(cat, I, V, margin)
-    else:
-        tri = triplet_batch_hard(global_feat, I, V, margin)
-        for p in part_feats:
-            tri = tri + triplet_batch_hard(p, I, V, margin)
+    tri = triplet_batch_hard(global_feat, I, V, margin)
+    for p in part_feats:
+        tri = tri + triplet_batch_hard(p, I, V, margin)
     ide = ce_label_smooth(logits[0], targets, epsilon)
     for lg in logits[1:]:
         ide = ide + ce_label_smooth(lg, targets, epsilon)

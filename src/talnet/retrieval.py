@@ -46,11 +46,35 @@ def fused_distance(a, b, lambda_sim):
     return float(d_app @ d_app + d_att @ d_att)
 
 
+# Gallery records stacked at a time by `distance_matrix`. Stacking the whole
+# gallery, or broadcasting every query at once, would set the peak memory of
+# ranking; at the default descriptor widths (320 + 256 floats) a block of 64
+# keeps each query's difference arrays near 300 KB.
+_GALLERY_BLOCK = 64
+
+
 def distance_matrix(queries, gallery, lambda_sim):
+    """(Q, G) float64 matrix of `fused_distance`, block by block.
+
+    Each query's broadcast difference against a block of gallery descriptors
+    is squared and summed row by row, never expanded as |a|^2 + |b|^2 - 2ab,
+    so equal records get bit-equal distances wherever they sit in the gallery.
+    Sums run in the records' dtype.
+    """
     out = np.empty((len(queries), len(gallery)))
-    for i, q in enumerate(queries):
-        for j, g in enumerate(gallery):
-            out[i, j] = fused_distance(q, g, lambda_sim)
+    widths = {(r.f_app.shape, r.f_att.shape) for r in (*queries, *gallery)}
+    if queries and gallery and len(widths) > 1:
+        raise ValueError(f"descriptor dim mismatch: f_app/f_att shapes {sorted(widths)}")
+    lam2 = lambda_sim ** 2
+    for lo in range(0, len(gallery), _GALLERY_BLOCK):
+        block = gallery[lo:lo + _GALLERY_BLOCK]
+        g_app = np.stack([g.f_app for g in block])
+        g_att = np.stack([g.f_att for g in block])
+        for i, q in enumerate(queries):
+            d_app = q.f_app - g_app
+            d_att = q.f_att - g_att
+            out[i, lo:lo + len(block)] = (np.einsum("ij,ij->i", d_app, d_app)
+                                          + lam2 * np.einsum("ij,ij->i", d_att, d_att))
     return out
 
 
@@ -62,35 +86,37 @@ def evaluate(queries, gallery, lambda_sim=0.3, protocol="multi-shot", max_rank=2
     entry per identity expected (iLIDS-style). Distance ties break by gallery
     index. Queries whose identity is absent from the (filtered) gallery are
     skipped with a warning.
+
+    One stable argsort orders every row by distance, ties by gallery index;
+    dropping the excluded entries from a row keeps the rest in the order a
+    sort of the kept entries alone would give.
     """
     if protocol not in ("multi-shot", "pairwise"):
         raise ValueError(f"unknown protocol {protocol!r}")
     dist = distance_matrix(queries, gallery, lambda_sim)
+    orders = np.argsort(dist, axis=1, kind="stable")
     g_ids = np.array([g.identity for g in gallery])
     g_cams = np.array([g.camera for g in gallery])
+    g_seq = np.array([g.sequence_id for g in gallery])
     cmc_hits = np.zeros(max_rank)
     aps = []
     per_query = []
     skipped = 0
     for i, q in enumerate(queries):
-        keep = np.ones(len(gallery), dtype=bool)
+        order = orders[i]
+        matches = g_ids[order] == q.identity
         if protocol == "multi-shot":
-            keep &= ~((g_ids == q.identity) & (g_cams == q.camera))
-        if not np.any((g_ids == q.identity) & keep):
+            keep = ~(matches & (g_cams[order] == q.camera))
+            order, matches = order[keep], matches[keep]
+        ranks = np.flatnonzero(matches)
+        if ranks.size == 0:
             skipped += 1
             continue
-        idx = np.nonzero(keep)[0]
-        # stable sort on distance -> ties broken by gallery index
-        order = idx[np.argsort(dist[i, idx], kind="stable")]
-        matches = g_ids[order] == q.identity
-        first = int(np.argmax(matches))
-        if first < max_rank:
-            cmc_hits[first:] += 1
-        ranks = np.nonzero(matches)[0]
+        if ranks[0] < max_rank:
+            cmc_hits[ranks[0]:] += 1
         precisions = (np.arange(len(ranks)) + 1) / (ranks + 1)
         aps.append(float(precisions.mean()))
-        per_query.append((q.sequence_id, [gallery[j].sequence_id for j in order],
-                          dist[i, order].tolist()))
+        per_query.append((q.sequence_id, g_seq[order].tolist(), dist[i, order].tolist()))
     n_eval = len(aps)
     if skipped:
         warnings.warn(f"{skipped} queries had no valid gallery match and were skipped")

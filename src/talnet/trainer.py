@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -316,24 +316,28 @@ def ablate(model_cfg, train_cfg, dataset, out_dir, variants=None, seeds=(0,),
            quiet=True):
     """Train each variant on the shared split and tabulate Rank-1 / mAP.
 
-    Returns rows of (variant, rank1, mAP) averaged over seeds.
+    Returns rows of (variant, rank1, mAP) averaged over seeds. Variants that
+    resolve to the same model config are trained once and share a row's
+    figures.
     """
     variants = variants or list(ABLATION_VARIANTS)
     train_set, test_set = train_test_split(dataset)
-    rows = []
+    rows, scores = [], {}
     for name in variants:
-        overrides = ABLATION_VARIANTS[name]
-        r1s, maps = [], []
-        for seed in seeds:
-            cfg = replace(model_cfg, **overrides)
-            tcfg = replace(train_cfg, seed=seed)
-            run_dir = os.path.join(out_dir, f"{name}_seed{seed}")
-            model, _, _ = train(cfg, tcfg, train_set, run_dir, quiet=quiet)
-            result = evaluate_split(model, test_set.sequences,
-                                    tcfg.lambda_sim, cfg.clip_len)
-            r1s.append(result.cmc[0])
-            maps.append(result.mean_ap)
-        rows.append((name, float(np.mean(r1s)), float(np.mean(maps))))
+        cfg = replace(model_cfg, **ABLATION_VARIANTS[name])
+        key = astuple(cfg)
+        if key not in scores:
+            r1s, maps = [], []
+            for seed in seeds:
+                tcfg = replace(train_cfg, seed=seed)
+                run_dir = os.path.join(out_dir, f"{name}_seed{seed}")
+                model, _, _ = train(cfg, tcfg, train_set, run_dir, quiet=quiet)
+                result = evaluate_split(model, test_set.sequences,
+                                        tcfg.lambda_sim, cfg.clip_len)
+                r1s.append(result.cmc[0])
+                maps.append(result.mean_ap)
+            scores[key] = (float(np.mean(r1s)), float(np.mean(maps)))
+        rows.append((name, *scores[key]))
         if not quiet:
             print(f"{name}: rank-1 {rows[-1][1]:.4f} mAP {rows[-1][2]:.4f}")
     return rows

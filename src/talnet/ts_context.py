@@ -71,7 +71,7 @@ def _lattice_step(cell, v, h_attr, h_time, normalize_gates, s_attr=None, s_time=
 def _rescale_gates(z_a, z_t):
     total = z_a + z_t
     one = ag.constant(1.0, like=z_a)
-    denom = ag.hinge(total - one) + one  # max(zA + zT, 1)
+    denom = ag.relu(total - one) + one  # max(zA + zT, 1)
     return z_a / denom, z_t / denom
 
 

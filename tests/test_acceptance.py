@@ -243,6 +243,11 @@ def test_criterion_8_end_to_end(tmp_path):
            f"{elapsed / 60:.1f} min; smoothed stage-2 loss decreasing")
 
 
+# Criterion 9 trains on the shipped defaults, like criterion 8.
+ABLATION_DATA = DataConfig()
+ABLATION_TRAIN = TrainConfig()
+
+
 @pytest.mark.slow
 def test_criterion_9_ablation_trends(tmp_path):
     train_set, test_set = _generate(ABLATION_DATA)

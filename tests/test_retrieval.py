@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from talnet.config import ModelConfig
 from talnet.data import VideoDataset, split_clips
-from talnet.retrieval import (EmbeddingRecord, embed_sequences, evaluate,
-                              fused_distance, metrics_report,
-                              query_gallery_split, raw_pixel_record)
+from talnet.retrieval import (_GALLERY_BLOCK, EmbeddingRecord, distance_matrix,
+                              embed_sequences, evaluate, fused_distance,
+                              metrics_report, query_gallery_split, raw_pixel_record)
 from talnet.trainer import build_model
 
 # --- brute-force ranking oracle ----------------------------------------------
@@ -212,6 +212,90 @@ def test_gallery_permutation_invariance_without_ties(rng):
     res_p = evaluate(queries, [gallery[j] for j in perm], max_rank=12)
     np.testing.assert_allclose(res.cmc, res_p.cmc, atol=1e-12)
     assert res.mean_ap == pytest.approx(res_p.mean_ap, abs=1e-12)
+
+
+# --- blocked distances ------------------------------------------------------------
+
+
+def _records(rng, n, app_dim, att_dim, n_ids, camera=None, sid0=0, dtype=float, loc=0.0):
+    return [EmbeddingRecord(rng.normal(loc, size=app_dim).astype(dtype),
+                            rng.normal(loc, size=att_dim).astype(dtype),
+                            int(rng.integers(n_ids)),
+                            int(rng.integers(2)) if camera is None else camera, sid0 + k)
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_distance_matrix_matches_fused_distance_across_blocks(rng, dtype, rtol):
+    queries = _records(rng, 5, 13, 6, 4, dtype=dtype)
+    gallery = _records(rng, 2 * _GALLERY_BLOCK + 7, 13, 6, 4, sid0=100, dtype=dtype)
+    dist = distance_matrix(queries, gallery, 0.4)
+    assert dist.shape == (5, len(gallery)) and dist.dtype == np.float64
+    want = np.array([[fused_distance(q, g, 0.4) for g in gallery] for q in queries])
+    np.testing.assert_allclose(dist, want, rtol=rtol, atol=0)
+
+
+def test_duplicates_in_different_blocks_tie_bitwise_in_gallery_order(rng):
+    # far from the origin |a|^2 + |b|^2 - 2ab cancels away most digits; the
+    # broadcast difference keeps them, and puts a copied record at exactly 0
+    queries = _records(rng, 6, 37, 11, 3, camera=0, loc=1000.0)
+    gallery = _records(rng, 2 * _GALLERY_BLOCK + 9, 37, 11, 3, camera=1, sid0=100, loc=1000.0)
+    copies = (3, _GALLERY_BLOCK + 10, 2 * _GALLERY_BLOCK + 4)
+    for k in copies[1:]:
+        gallery[k] = replace(gallery[copies[0]], sequence_id=100 + k)
+    queries[0] = replace(gallery[copies[0]], identity=queries[0].identity, camera=0,
+                         sequence_id=0)
+    dist = distance_matrix(queries, gallery, 0.3)
+    for k in copies[1:]:
+        np.testing.assert_array_equal(dist[:, k], dist[:, copies[0]])
+    assert dist[0, copies[0]] == 0.0
+    want = np.array([[fused_distance(q, g, 0.3) for g in gallery] for q in queries])
+    np.testing.assert_allclose(dist, want, rtol=1e-12, atol=0)
+    res = evaluate(queries, gallery, lambda_sim=0.3, protocol="pairwise")
+    assert len(res.per_query) == len(queries)
+    for _, ranked, _ in res.per_query:
+        pos = [ranked.index(100 + k) for k in copies]
+        assert pos == [pos[0], pos[0] + 1, pos[0] + 2]
+
+
+@pytest.mark.parametrize("app_dim, att_dim", [(5, 0), (0, 4)])
+def test_ablated_branch_ranking_across_blocks(rng, app_dim, att_dim):
+    queries = _records(rng, 7, app_dim, att_dim, 5, camera=0)
+    gallery = _records(rng, 2 * _GALLERY_BLOCK + 3, app_dim, att_dim, 5, sid0=100)
+    dist = distance_matrix(queries, gallery, 0.6)
+    want = np.array([[fused_distance(q, g, 0.6) for g in gallery] for q in queries])
+    np.testing.assert_allclose(dist, want, rtol=1e-12, atol=0)
+    res = evaluate(queries, gallery, lambda_sim=0.6, max_rank=10)
+    oc, omap = _rank_oracle(queries, gallery, 0.6, "multi-shot", 10)
+    np.testing.assert_allclose(res.cmc, oc, atol=1e-12)
+    assert res.mean_ap == pytest.approx(omap, abs=1e-12)
+
+
+def test_empty_queries_and_empty_gallery(rng):
+    queries = _records(rng, 3, 4, 2, 2, camera=0)
+    gallery = _records(rng, 5, 4, 2, 2, camera=1, sid0=10)
+    assert distance_matrix([], gallery, 0.3).shape == (0, 5)
+    assert distance_matrix(queries, [], 0.3).shape == (3, 0)
+    res = evaluate([], gallery, max_rank=4)
+    np.testing.assert_array_equal(res.cmc, np.zeros(4))
+    assert (res.mean_ap, res.per_query, res.skipped) == (0.0, [], 0)
+    with pytest.warns(UserWarning):
+        res = evaluate(queries, [], max_rank=4)
+    np.testing.assert_array_equal(res.cmc, np.zeros(4))
+    assert (res.mean_ap, res.per_query, res.skipped) == (0.0, [], 3)
+
+
+def test_evaluate_rejects_mismatched_widths(rng):
+    queries = _records(rng, 2, 4, 3, 2, camera=0)
+    gallery = _records(rng, _GALLERY_BLOCK + 5, 4, 3, 2, camera=1, sid0=10)
+    # a width-1 descriptor would broadcast silently against the block
+    narrow = [replace(queries[0], f_app=np.ones(1))]
+    wide_att = [replace(queries[0], f_att=np.ones(4))]
+    late = gallery[:]
+    late[_GALLERY_BLOCK + 2] = replace(late[0], f_att=np.ones(1))
+    for q, g in ((narrow, gallery), (wide_att, gallery), (queries, late)):
+        with pytest.raises(ValueError, match="dim mismatch"):
+            evaluate(q, g)
 
 
 # --- helpers -----------------------------------------------------------------

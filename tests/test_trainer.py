@@ -245,6 +245,31 @@ def test_ablation_variants_are_valid_configs():
         assert cfg is not None
 
 
+def test_ablate_trains_each_distinct_config_once(tmp_path, small_dataset, monkeypatch):
+    """`pool_mean` resolves to the same config as `TALNet_wo_Att`: one
+    training per seed, reported under both names."""
+    from talnet.retrieval import RankingResult
+    trained = []
+
+    def fake_train(cfg, tcfg, train_set, run_dir, quiet=True):
+        trained.append((cfg.pooling, cfg.use_att, tcfg.seed))
+        return len(trained), None, None
+
+    def fake_evaluate(model, sequences, lambda_sim, clip_len):
+        return RankingResult(cmc=np.array([model / 10.0]), mean_ap=model / 100.0)
+
+    monkeypatch.setattr(trainer_mod, "train", fake_train)
+    monkeypatch.setattr(trainer_mod, "evaluate_split", fake_evaluate)
+    rows = trainer_mod.ablate(TINY_MODEL, TINY_TRAIN, small_dataset, str(tmp_path),
+                              variants=["TALNet_wo_Att", "pool_max", "pool_mean"],
+                              seeds=(0, 1))
+    assert trained == [("mean", False, 0), ("mean", False, 1),
+                       ("max", False, 0), ("max", False, 1)]
+    assert [r[0] for r in rows] == ["TALNet_wo_Att", "pool_max", "pool_mean"]
+    assert rows[2][1:] == rows[0][1:] == pytest.approx((0.15, 0.015))
+    assert rows[1][1:] == pytest.approx((0.35, 0.035))
+
+
 def test_write_ablation_table(tmp_path):
     path = tmp_path / "table.csv"
     write_ablation_table(path, [("A", 0.91234, 0.75), ("B", 0.5, 0.25)])
