@@ -5,8 +5,10 @@ arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
 softmax / mean / max over an axis, means over non-overlapping windows
 (`avg_pool`), and stride-1 conv2d. conv2d lowers to one GEMM over
 channels-last patch rows (B*Ho*Wo, kh*kw*C) and computes its input gradient
-in the same layout. float32 is the training dtype; building graphs in
-float64 is supported for gradient checking.
+in the same layout. A backward that builds a fresh gradient array (relu,
+the conv2d input gradient) hands it over as the first `.grad` instead of
+copying it into zeros (`_accum_fresh`). float32 is the training dtype;
+building graphs in float64 is supported for gradient checking.
 """
 
 from __future__ import annotations
@@ -206,6 +208,17 @@ def _accum(t, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _accum_fresh(t, g):
+    """`_accum` for a gradient array the backward has just built and keeps
+    no other reference to: the first one is adopted, not copied into zeros.
+    Views of an upstream gradient must go through `_accum`, or two tensors'
+    `.grad` would alias."""
+    if t.requires_grad and t.grad is None:
+        t.grad = g
+    else:
+        _accum(t, g)
 
 
 def _unbroadcast(grad, shape):
@@ -423,7 +436,7 @@ def relu(a):
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accum(a, g * (a.data > 0))
+        _accum_fresh(a, g * (a.data > 0))  # a mask multiply, not np.where
 
     return _make(out, (a,), bwd, "relu")
 
@@ -544,12 +557,15 @@ def avg_pool(a, fh, fw):
     out = out / fh
 
     def bwd(g):
-        cell = (g / fh / fw)[:, :, :, None, :, None]
+        # repeated along the width first, so each window row is one
+        # contiguous run of W floats when broadcast over the fh rows
+        row = np.repeat(g / fh / fw, fw, axis=3)[:, :, :, None, :]
+        rows_shape = (B, C, H // fh, fh, W)
         if a.grad is None:
             a.grad = np.empty(a.shape, dtype=a.dtype)
-            a.grad.reshape(windows)[...] = cell
+            a.grad.reshape(rows_shape)[...] = row
         else:
-            a.grad += np.broadcast_to(cell, windows).reshape(a.shape)
+            a.grad += np.broadcast_to(row, rows_shape).reshape(a.shape)
 
     return _make(out, (a,), bwd, "mean")
 
@@ -597,13 +613,14 @@ def conv2d(x, weight, bias=None, pad=0):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # col2im in channels-last layout: each tap adds a (B, Ho, Wo, C)
-            # slab whose channel rows are contiguous, then one transpose
-            dcols = (gcols @ wtap).reshape(B, Ho, Wo, kh, kw, C)
+            # col2im in channels-last layout: one batched GEMM gives each
+            # tap a contiguous (B, Ho, Wo, C) slab to add, then one transpose
+            w_taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, Co, C)
+            dcols = np.matmul(gcols[None], w_taps).reshape(kh, kw, B, Ho, Wo, C)
             dx = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dx[:, i:i + Ho, j:j + Wo] += dcols[:, :, :, i, j]
-            _accum(x, dx[:, pad:pad + H, pad:pad + W].transpose(0, 3, 1, 2))
+                    dx[:, i:i + Ho, j:j + Wo] += dcols[i, j]
+            _accum_fresh(x, dx[:, pad:pad + H, pad:pad + W].transpose(0, 3, 1, 2))
 
     return _make(out, parents, bwd, "conv2d")

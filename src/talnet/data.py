@@ -22,7 +22,6 @@ class AttributeSchema:
     """Ordered list of named attributes with their category labels."""
 
     attributes: tuple  # of (name, tuple of category names)
-    order_policy: str = "top-down-skeleton"
 
     def __post_init__(self):
         names = [name for name, _ in self.attributes]

@@ -1,5 +1,5 @@
-"""Batch-hard triplet loss, label-smoothed cross entropy, and the combined
-appearance / attribute / total objectives."""
+"""Batch-hard triplet loss (one autograd node), label-smoothed cross entropy,
+and the combined appearance / attribute / total objectives."""
 
 from __future__ import annotations
 
@@ -22,42 +22,49 @@ def pairwise_sqdist(features):
 
 def triplet_batch_hard(features, I, V, margin, squared=True):
     """Hinge over (margin + hardest positive - hardest negative), summed over
-    all I*V anchors. Rows must be grouped by identity in V-sized blocks.
-    Distance is squared Euclidean by default; ties break at the lowest index
-    (argmax/argmin first occurrence)."""
+    all I*V anchors, as one autograd node. Rows must be grouped by identity in
+    V-sized blocks. Distance is squared Euclidean by default, Euclidean
+    (sqrt(d + 1e-12)) with squared=False.
+
+    The hardest pairs are row-wise masked max / min (Hermans et al. 2017);
+    ties break at the lowest index. Distances are the per-pair products of
+    `pairwise_sqdist`, and the hinges are added one at a time in anchor
+    order, the float order of a scalar loop over anchors. The backward sends
+    +-2 * diff only through the chosen pairs. Tagged "max", the op it mines with.
+    """
     if I < 2 or V < 2:
         raise ValueError("batch-hard triplet needs I >= 2 and V >= 2")
     B = I * V
     if features.shape[0] != B:
         raise ag.ShapeError("triplet_batch_hard", features.shape, (B,))
-    dist = pairwise_sqdist(features)
+    x = features.data
+    d = x.shape[1]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = (diff.reshape(B, B, 1, d) @ diff.reshape(B, B, d, 1)).reshape(B, B)
     if not squared:
-        dist = _sqrt(dist)
-    total = None
-    m = ag.constant(margin, like=features)
-    for i in range(I):
-        lo, hi = i * V, (i + 1) * V
-        for j in range(lo, hi):
-            row = dist[j]
-            hardest_pos = ag.tmax(row[lo:hi], axis=0)
-            if lo == 0:
-                negs = row[hi:]
-            elif hi == B:
-                negs = row[:lo]
-            else:
-                negs = ag.concat([row[:lo], row[hi:]], axis=0)
-            hardest_neg = -ag.tmax(-negs, axis=0)
-            term = ag.relu(m + hardest_pos - hardest_neg)
-            # one addition at a time in anchor order: the float order of a
-            # scalar loop over anchors, which criterion 4 compares bitwise
-            total = term if total is None else total + term
-    return total
+        dist = np.sqrt(dist + 1e-12)
+    labels = np.repeat(np.arange(I), V)
+    same = labels[:, None] == labels[None, :]
+    rows = np.arange(B)
+    pos = np.where(same, dist, -np.inf).argmax(axis=1)
+    neg = np.where(same, np.inf, dist).argmin(axis=1)
+    pre = (np.asarray(margin, dtype=dist.dtype) + dist[rows, pos]) - dist[rows, neg]
+    total = np.cumsum(np.maximum(pre, 0.0))[-1]
 
+    def bwd(g):
+        w = g * (pre > 0)
+        gd = np.zeros_like(dist)
+        gd[rows, pos] = w
+        gd[rows, neg] = -w
+        if not squared:
+            gd *= 0.5 / dist
+        # both sides of each pair, as the per-pair graph's matmul and sub
+        # nodes accumulated them, so the gradient bytes are unchanged
+        gdiff = (gd + gd)[:, :, None] * diff
+        ag._accum(features, gdiff.sum(axis=1))
+        ag._accum(features, -gdiff.sum(axis=0))
 
-def _sqrt(x):
-    # sqrt via exp(0.5 log(x + tiny)); only used by the non-squared flag
-    eps = ag.constant(1e-12, like=x)
-    return ag.exp(ag.log(x + eps) * ag.constant(0.5, like=x))
+    return ag._make(np.asarray(total), (features,), bwd, "max")
 
 
 def ce_label_smooth(logits, targets, epsilon, num_classes=None):

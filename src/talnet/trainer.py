@@ -127,8 +127,7 @@ def _stage_params(model, stage):
     return model.parameters()
 
 
-def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv",
-          checkpoint_every=0, quiet=True):
+def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet=True):
     """Two-stage training: stage 1 fits backbone + appearance branch (skipped
     when the appearance branch is ablated), stage 2 optimizes everything
     jointly. Emits a per-step loss CSV and a final checkpoint; aborts on a
@@ -255,8 +254,6 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv",
                         recent = []
                 if not quiet:
                     print(f"[{stage}] epoch {epoch}: loss {mean_loss:.4f}")
-                if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-                    save_checkpoint(ckpt_path, model, tc.seed, cfg_hash)
                 # stage-1 plateau stop (not during warmup)
                 if stage == "appearance-only" and not warming:
                     recent.append(mean_loss)

@@ -292,3 +292,44 @@ def test_slice_backward_matches_add_at(idx):
     scattered = np.zeros(x.shape)
     np.add.at(scattered, idx, g)
     np.testing.assert_array_equal(x.grad, prior + scattered)
+
+
+# --- first-gradient adoption ------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [("relu", "tanh", "conv"), ("conv", "tanh", "relu"),
+                                   ("tanh", "relu", "conv")])
+def test_adopted_first_gradient_sums_every_consumer(order):
+    # x feeds relu (adopts its mask product), tanh (accumulates a copy) and a
+    # conv2d (adopts its col2im buffer); the relu output also feeds an add
+    # whose backward passes the same upstream array to both of its operands
+    rng = np.random.default_rng(21)
+    x = ag.tensor(rng.normal(size=(2, 3, 5, 4)), dtype=np.float64, requires_grad=True)
+    w = ag.tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64)
+    g_relu, g_tanh = rng.normal(size=x.shape), rng.normal(size=x.shape)
+    g_conv = rng.normal(size=(2, 2, 5, 4))
+    nodes = {}
+
+    def term(name):
+        if name == "relu":
+            r = nodes["relu"] = ag.relu(x)
+            s = nodes["add"] = r + r
+            return ag.tsum(ag.mul(s, ag.tensor(g_relu, dtype=np.float64)))
+        if name == "tanh":
+            t = nodes["tanh"] = ag.tanh(x)
+            return ag.tsum(ag.mul(t, ag.tensor(g_tanh, dtype=np.float64)))
+        c = nodes["conv"] = ag.conv2d(x, w, pad=1)
+        return ag.tsum(ag.mul(c, ag.tensor(g_conv, dtype=np.float64)))
+
+    loss = term(order[0]) + term(order[1]) + term(order[2])
+    loss.backward()
+    _, conv_dx, _, _ = _conv2d_oracle(x.data, w.data, np.zeros(2), 1, g_conv)
+    want = (2 * g_relu * (x.data > 0) + g_tanh * (1 - np.tanh(x.data) ** 2)
+            + conv_dx)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(nodes["relu"].grad, 2 * g_relu)
+    np.testing.assert_array_equal(nodes["add"].grad, g_relu)
+    grads = [t.grad for t in (x, *nodes.values())]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)

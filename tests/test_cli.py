@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from talnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 TINY = [
     "--set", "data.num_identities=4",
@@ -129,3 +129,38 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", half, "--out", str(tmp_path / "o")] + TINY)
     assert rc == EXIT_DATA
     assert "unreadable checkpoint" in capsys.readouterr().err
+
+
+def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeypatch,
+                                                               capsys):
+    from talnet import autograd as ag
+    from talnet import trainer
+    from talnet.config import RunConfig, apply_overrides
+    from talnet.data import load_dataset
+    from talnet.nn import load_checkpoint
+
+    real, losses = trainer.compute_loss, []
+
+    def nan_at_third_step(*args, **kwargs):
+        loss, parts = real(*args, **kwargs)
+        losses.append(parts["L"])
+        if len(losses) == 3:
+            return ag.tensor(np.asarray(np.nan)), dict(parts, L=float("nan"))
+        return loss, parts
+
+    data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
+    monkeypatch.setattr(trainer, "compute_loss", nan_at_third_step)
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", data_dir, "--out", run_dir, "--quiet"] + TINY)
+    assert rc == EXIT_NUMERIC
+    assert len(losses) == 3 and "non-finite loss" in capsys.readouterr().err
+    cfg = apply_overrides(RunConfig(), [item.split("=", 1) for item in TINY[1::2]])
+    dataset = load_dataset(data_dir)
+    model = trainer.build_model(cfg.model, dataset, cfg.train.seed)
+    header = load_checkpoint(os.path.join(run_dir, "checkpoint.zip"), model)
+    assert header["seed"] == cfg.train.seed
+    assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
+    fresh = trainer.build_model(cfg.model, dataset, cfg.train.seed)
+    assert any(not np.array_equal(a.data, b.data)  # two steps were taken
+               for a, b in zip(model.parameters(), fresh.parameters()))

@@ -13,6 +13,14 @@ from talnet.losses import (appearance_loss, attribute_loss, ce_label_smooth,
 # --- brute-force oracles -----------------------------------------------------
 
 
+class _Holder:
+    """A bare tensor in the parameter shape `grad_check` expects."""
+
+    def __init__(self, t):
+        self.tensor = t
+        self.name = "features"
+
+
 def _triplet_oracle(feats, I, V, margin, squared=True):
     """Enumerate every positive/negative pair per anchor and take the exact
     hardest ones (first occurrence on ties)."""
@@ -31,6 +39,13 @@ def _triplet_oracle(feats, I, V, margin, squared=True):
         neg = [d[a, j] for j in range(B) if labels[j] != labels[a]]
         total += max(0.0, margin + max(pos) - min(neg))
     return total
+
+
+def _triplet_grad(loss_fn, feats, *args, **kwargs):
+    f = ag.tensor(feats, dtype=np.float64, requires_grad=True)
+    out = loss_fn(f, *args, **kwargs)
+    out.backward()
+    return out.item(), f.grad
 
 
 def _ce_oracle(logits, targets, eps):
@@ -108,16 +123,18 @@ def test_triplet_euclidean_flag_matches_brute_force(seed):
 
 
 def test_triplet_tie_break_lowest_index():
-    # two equally-hard negatives; gradient must flow to the first one only
-    f = ag.tensor(np.array([[0.0], [0.1], [1.0], [1.0]]), requires_grad=True)
-    f.data = f.data.astype(np.float64)
-    out = triplet_batch_hard(f, I=2, V=2, margin=5.0)
-    out.backward()
-    # anchors 0 and 1 both see negatives at rows 2 and 3 with equal distance;
-    # first-occurrence argmin means row 2 receives gradient, row 3 only from
-    # its own anchor role
-    assert f.grad is not None
-    assert abs(f.grad[2, 0]) > 0
+    # negatives tie: rows 2 and 3 coincide, equally near anchors 0 and 1;
+    # their own hinges (margin - 5) are inactive, so row 3 must get nothing
+    neg_tie = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+    _, grad = _triplet_grad(triplet_batch_hard, neg_tie, 2, 2, 2.0)
+    assert np.any(grad[2] != 0)
+    np.testing.assert_array_equal(grad[3], 0.0)
+    # positives tie: rows 1 and 2 coincide at distance 1 from anchor 0, whose
+    # hinge is the only one that picks them; row 2 must get nothing
+    pos_tie = np.array([[0.0], [1.0], [1.0], [-1.0], [-10.0], [-10.0]])
+    _, grad = _triplet_grad(triplet_batch_hard, pos_tie, 2, 3, 0.5)
+    assert grad[1, 0] != 0
+    np.testing.assert_array_equal(grad[2], 0.0)
 
 
 def test_triplet_translation_invariance(rng):
@@ -131,11 +148,6 @@ def test_triplet_gradcheck():
     rng = np.random.default_rng(0)
     f = ag.tensor(rng.normal(size=(6, 3)), requires_grad=True)
     f.data = f.data.astype(np.float64)
-
-    class _Holder:
-        def __init__(self, t):
-            self.tensor = t
-            self.name = "features"
 
     report = grad_check(lambda: triplet_batch_hard(f, 3, 2, 0.5), [_Holder(f)])
     assert report.passed, report.summary()
@@ -227,3 +239,65 @@ def test_total_loss_weighting():
     assert float(total_loss(l_app, l_att, 0.3).item()) == pytest.approx(3.5)
     assert float(total_loss(l_app, None, 0.3).item()) == pytest.approx(2.0)
     assert float(total_loss(None, l_att, 0.3).item()) == pytest.approx(1.5)
+
+
+# --- the one-node triplet against the composed graph it replaced --------------
+
+
+def _composed_triplet(features, I, V, margin, squared=True):
+    """Batch-hard triplet built from scalar graph nodes (slice, tmax, concat,
+    relu, add), one anchor at a time: the reference for the fused node."""
+    B = I * V
+    dist = pairwise_sqdist(features)
+    if not squared:
+        eps = ag.constant(1e-12, like=dist)
+        dist = ag.exp(ag.log(dist + eps) * ag.constant(0.5, like=dist))
+    total = None
+    m = ag.constant(margin, like=features)
+    for i in range(I):
+        lo, hi = i * V, (i + 1) * V
+        for j in range(lo, hi):
+            row = dist[j]
+            hardest_pos = ag.tmax(row[lo:hi], axis=0)
+            negs = ag.concat([row[:lo], row[hi:]], axis=0)
+            hardest_neg = -ag.tmax(-negs, axis=0)
+            term = ag.relu(m + hardest_pos - hardest_neg)
+            total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("I", [2, 3, 4])
+@pytest.mark.parametrize("V", [2, 3, 4])
+def test_triplet_gradient_matches_composed_graph_with_ties(I, V):
+    rng = np.random.default_rng(10 * I + V)
+    for _ in range(6):
+        # small integer coordinates make exact distance ties common:
+        # equidistant negatives and, with the copied rows, equal positives
+        feats = rng.integers(-2, 3, size=(I * V, 3)).astype(np.float64)
+        feats[1] = feats[0]
+        feats[-1] = feats[V]
+        margin = float(rng.choice([0.5, 3.0, 20.0]))
+        got_loss, got = _triplet_grad(triplet_batch_hard, feats, I, V, margin)
+        want_loss, want = _triplet_grad(_composed_triplet, feats, I, V, margin)
+        assert got_loss == want_loss
+        np.testing.assert_array_equal(got, want)
+        got_loss, got = _triplet_grad(triplet_batch_hard, feats, I, V, margin,
+                                      squared=False)
+        want_loss, want = _triplet_grad(_composed_triplet, feats, I, V, margin,
+                                        squared=False)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_triplet_builds_one_node():
+    f = ag.tensor(np.random.default_rng(3).normal(size=(8, 5)), requires_grad=True)
+    out = triplet_batch_hard(f, 4, 2, 0.3)
+    assert out._op == "max" and out._parents == (f,)
+
+
+def test_triplet_euclidean_gradcheck():
+    rng = np.random.default_rng(7)
+    f = ag.tensor(rng.normal(size=(8, 3)), dtype=np.float64, requires_grad=True)
+    report = grad_check(lambda: triplet_batch_hard(f, 2, 4, 1.0, squared=False),
+                        [_Holder(f)])
+    assert report.passed, report.summary()

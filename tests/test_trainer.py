@@ -9,11 +9,11 @@ import pytest
 from talnet import autograd as ag
 from talnet import trainer as trainer_mod
 from talnet.config import ModelConfig, TrainConfig
-from talnet.data import default_schema, generate_synthetic, train_test_split
+from talnet.data import all_clips, default_schema, generate_synthetic, train_test_split
 from talnet.nn import load_checkpoint
 from talnet.trainer import (ABLATION_VARIANTS, SGD, DivergenceError,
-                            build_model, evaluate_split, train,
-                            write_ablation_table)
+                            batch_arrays, build_model, compute_loss,
+                            evaluate_split, train, write_ablation_table)
 
 # a deliberately tiny setup so each training run takes a few seconds at most
 TINY_MODEL = ModelConfig(frame_height=16, frame_width=8,
@@ -276,3 +276,27 @@ def test_write_ablation_table(tmp_path):
     rows = _read_csv(path)
     assert rows[0] == ["variant", "rank1", "mAP"]
     assert rows[1] == ["A", "0.9123", "0.7500"]
+
+
+@pytest.mark.parametrize("stage", ["appearance-only", "joint"])
+def test_backward_leaves_no_two_grads_sharing_memory(small_dataset, stage):
+    model = build_model(TINY_MODEL, small_dataset, seed=0)
+    clips = all_clips(small_dataset, TINY_MODEL.clip_len)
+    batch = [c for ident in small_dataset.identities[:2]
+             for c in [c for c in clips if c.identity == ident][:2]]
+    frames, ids, attrs = batch_arrays(batch)
+    id_map = {ident: k for k, ident in enumerate(small_dataset.identities)}
+    loss, _ = compute_loss(model, frames, np.array([id_map[i] for i in ids]), attrs,
+                           TINY_TRAIN, stage, np.random.default_rng(0))
+    loss.backward()
+    seen, stack, grads = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            grads += [node.grad] if node.grad is not None else []
+            stack.extend(node._parents)
+    assert len(grads) > 100
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
