@@ -3,12 +3,13 @@
 Covers exactly the primitive set the network needs: matmul, elementwise
 arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
 softmax / mean / max over an axis, means over non-overlapping windows
-(`avg_pool`), and stride-1 conv2d. conv2d lowers to one GEMM over
-channels-last patch rows (B*Ho*Wo, kh*kw*C) and computes its input gradient
-in the same layout. A backward that builds a fresh gradient array (relu,
-the conv2d input gradient) hands it over as the first `.grad` instead of
-copying it into zeros (`_accum_fresh`). float32 is the training dtype;
-building graphs in float64 is supported for gradient checking.
+(`avg_pool`), and stride-1 conv2d. conv2d is row-lowered (MEC, Cho & Brand
+2017): width-only patch rows (H, B*Wo, kw*C), one GEMM per kernel row, and
+a width-only col2im for its input gradient. A backward that builds a fresh
+gradient array (relu, sum, mean, the conv2d input gradient) hands it over as
+the first `.grad` instead of copying it into zeros (`_accum_fresh`). float32
+is the training dtype; building graphs in float64 is supported for gradient
+checking.
 """
 
 from __future__ import annotations
@@ -478,12 +479,9 @@ def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum_fresh(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(out, (a,), bwd, "sum")
 
@@ -496,7 +494,7 @@ def tmean(a, axis=None, keepdims=False):
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / n)
+        _accum_fresh(a, np.broadcast_to(g, a.shape) / n)
 
     return _make(out, (a,), bwd, "mean")
 
@@ -570,25 +568,26 @@ def avg_pool(a, fh, fw):
     return _make(out, (a,), bwd, "mean")
 
 
-def _im2col(x, kh, kw, pad):
-    """Patch rows of (B, C, H, W) in channels-last order: (B, Ho, Wo, kh, kw, C).
-
-    The input is padded into a zeroed NHWC buffer, so every window copies
-    runs of C contiguous floats.
-    """
-    B, C, H, W = x.shape
-    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
-    xp[:, pad:pad + H, pad:pad + W] = x.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # (B, Ho, Wo, C, kh, kw) -> (B, Ho, Wo, kh, kw, C)
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+def _row_gemms(dst, blocks):
+    """dst[rows] = sum of lhs @ rhs over the (rows, lhs, rhs) row blocks, each
+    one GEMM over its flattened rows. The first block is the widest: it
+    writes with out=, the rows it misses start at zero and the others add."""
+    (rows, lhs, rhs), *rest = blocks
+    dst[:rows.start], dst[rows.stop:] = 0, 0
+    np.matmul(lhs.reshape(-1, lhs.shape[-1]), rhs, out=dst[rows].reshape(-1, dst.shape[-1]))
+    for rows, lhs, rhs in rest:
+        dst[rows] += (lhs.reshape(-1, lhs.shape[-1]) @ rhs).reshape(dst[rows].shape)
 
 
 def conv2d(x, weight, bias=None, pad=0):
     """Stride-1 2-D convolution (cross-correlation): x (B,C,H,W), weight (Co,C,kh,kw).
 
-    Lowered to one GEMM over channels-last patch rows (Chellapilla et al.
-    2006): each output sums over (kh, kw, C) in that order.
+    Row-lowered as in MEC (Cho & Brand 2017): the input, padded along the
+    width only into (H, B, W+2*pad, C), gives width-only patch rows
+    cw (H, B*Wo, kw*C), 1/kh the size of an im2col matrix. Kernel row i is one
+    GEMM over the block of output rows whose input rows lie in the map, so
+    height padding is never multiplied. Each output sums the kernel rows in
+    span order (the widest span, then ascending i), each over (kw, C).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     B, C, H, W = x.shape
@@ -598,29 +597,45 @@ def conv2d(x, weight, bias=None, pad=0):
     Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError("conv2d", x.shape, weight.shape)
-    cols = _im2col(x.data, kh, kw, pad).reshape(B * Ho * Wo, kh * kw * C)
-    wtap = weight.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
-    out = np.ascontiguousarray((cols @ wtap.T).reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2))
+    xp = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
+    xp[:, :, pad:pad + W] = x.data.transpose(2, 0, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=2)  # (H, B, Wo, C, kw)
+    cw = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 3)).reshape(H, B * Wo, kw * C)
+    wrows = weight.data.transpose(2, 3, 1, 0).reshape(kh, kw * C, Co)
+    # kernel row i serves output rows o = [lo, hi), which read input rows
+    # s = [lo+i-pad, hi+i-pad); sorted widest first, then by i
+    spans = []
+    for i in range(kh):
+        lo, hi = max(0, pad - i), min(Ho, H + pad - i)
+        if lo < hi:
+            spans.append((lo - hi, i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)))
+    spans.sort()
+    out = np.empty((Ho, B * Wo, Co), dtype=x.dtype)
+    _row_gemms(out, [(o, cw[s], wrows[i]) for _, i, o, s in spans])
+    # to NCHW in two copies: moving whole (Wo, Co) rows first beats one 4-axis transpose
+    out = np.ascontiguousarray(out.reshape(Ho, B, Wo, Co).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     if bias is not None:
         out += bias.data.reshape(1, Co, 1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
-        gcols = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Co)
+        grows = np.ascontiguousarray(g.transpose(2, 0, 3, 1)).reshape(Ho, B * Wo, Co)
         if weight.requires_grad:
-            gw = (gcols.T @ cols).reshape(Co, kh, kw, C)
-            _accum(weight, gw.transpose(0, 3, 1, 2))
+            gw = np.zeros((kh, kw * C, Co), dtype=x.dtype)
+            for _, i, o, s in spans:
+                np.matmul(cw[s].reshape(-1, kw * C).T, grows[o].reshape(-1, Co), out=gw[i])
+            _accum(weight, gw.reshape(kh, kw, C, Co).transpose(3, 2, 0, 1))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # col2im in channels-last layout: one batched GEMM gives each
-            # tap a contiguous (B, Ho, Wo, C) slab to add, then one transpose
-            w_taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, Co, C)
-            dcols = np.matmul(gcols[None], w_taps).reshape(kh, kw, B, Ho, Wo, C)
-            dx = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dx[:, i:i + Ho, j:j + Wo] += dcols[i, j]
-            _accum_fresh(x, dx[:, pad:pad + H, pad:pad + W].transpose(0, 3, 1, 2))
+            # width-only col2im: each of the kw slabs adds into the padded rows
+            dcw = np.empty((H, B * Wo, kw * C), dtype=x.dtype)
+            _row_gemms(dcw, [(s, grows[o], wrows[i].T) for _, i, o, s in spans])
+            dcw = dcw.reshape(H, B, Wo, kw, C)
+            dx = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
+            for j in range(kw):
+                dx[:, :, j:j + Wo] += dcw[:, :, :, j]
+            _accum_fresh(x, dx[:, :, pad:pad + W].transpose(1, 3, 0, 2))
 
     return _make(out, parents, bwd, "conv2d")

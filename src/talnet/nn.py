@@ -157,7 +157,7 @@ def save_checkpoint(path, module, seed, config_hash):
 
 def load_checkpoint(path, module):
     """Load parameters in place; returns the header dict. A truncated or
-    corrupt zip raises ValueError, as every other malformed checkpoint does."""
+    corrupt zip or header raises ValueError, as any malformed checkpoint does."""
     try:
         with zipfile.ZipFile(path) as zf:
             header = json.loads(zf.read("header.json"))
@@ -176,7 +176,7 @@ def load_checkpoint(path, module):
                 arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))
                 arr = arr.reshape(meta["shape"]).astype(meta["dtype"])
                 params[name].tensor = Tensor(arr.copy(), requires_grad=True)
-    except zipfile.BadZipFile as exc:
+    except (zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from None
     return header
 

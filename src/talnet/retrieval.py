@@ -134,8 +134,8 @@ def raw_pixel_record(seq):
         identity=seq.identity, camera=seq.camera, sequence_id=seq.sequence_id)
 
 
-# Clips per forward. The region-head conv1 im2col holds 1,600 floats per
-# output pixel, so an unbounded batch would set the embedding's peak memory.
+# Clips per forward. The region-head conv1 patch rows hold 320 floats per
+# input pixel, so an unbounded batch would set the embedding's peak memory.
 _EMBED_CHUNK = 8
 
 

@@ -75,18 +75,23 @@ def test_conv2d_matches_nested_sum_oracle(k, pad, channels):
     _check_conv2d_oracle(np.random.default_rng(100 * k + 10 * pad + C), C, Co, k, k, pad)
 
 
-@pytest.mark.parametrize("kernel,pad,channels", [
-    ((1, 3), 0, (1, 2)), ((3, 1), 1, (2, 3)), ((5, 3), 2, (1, 1)),
-    ((2, 4), 1, (3, 2)), ((3, 5), 2, (1, 4)),
+# the last three cases: the 8x4 region-head map under a 5x5 kernel wider
+# than it, a 3x2 map smaller than the kernel both ways, and a batch of one
+@pytest.mark.parametrize("kernel,pad,channels,size", [
+    ((1, 3), 0, (1, 2), (2, 6, 5)), ((3, 1), 1, (2, 3), (2, 6, 5)),
+    ((5, 3), 2, (1, 1), (2, 6, 5)), ((2, 4), 1, (3, 2), (2, 6, 5)),
+    ((3, 5), 2, (1, 4), (2, 6, 5)), ((5, 5), 2, (3, 2), (2, 8, 4)),
+    ((5, 5), 2, (2, 3), (2, 3, 2)), ((3, 3), 1, (2, 2), (1, 4, 3)),
 ])
-def test_conv2d_rectangular_and_single_channel_match_oracle(kernel, pad, channels):
+def test_conv2d_rectangular_and_single_channel_match_oracle(kernel, pad, channels, size):
     (kh, kw), (C, Co) = kernel, channels
     rng = np.random.default_rng(1000 * kh + 100 * kw + 10 * pad + C)
-    _check_conv2d_oracle(rng, C, Co, kh, kw, pad)
+    _check_conv2d_oracle(rng, C, Co, kh, kw, pad, size)
 
 
-def _check_conv2d_oracle(rng, C, Co, kh, kw, pad):
-    x = ag.tensor(rng.normal(size=(2, C, 6, 5)), dtype=np.float64, requires_grad=True)
+def _check_conv2d_oracle(rng, C, Co, kh, kw, pad, size=(2, 6, 5)):
+    B, H, W = size
+    x = ag.tensor(rng.normal(size=(B, C, H, W)), dtype=np.float64, requires_grad=True)
     w = ag.tensor(rng.normal(size=(Co, C, kh, kw)), dtype=np.float64, requires_grad=True)
     b = ag.tensor(rng.normal(size=(Co,)), dtype=np.float64, requires_grad=True)
     out = ag.conv2d(x, w, b, pad=pad)
@@ -297,17 +302,22 @@ def test_slice_backward_matches_add_at(idx):
 # --- first-gradient adoption ------------------------------------------------
 
 
-@pytest.mark.parametrize("order", [("relu", "tanh", "conv"), ("conv", "tanh", "relu"),
-                                   ("tanh", "relu", "conv")])
+@pytest.mark.parametrize("order", [("relu", "tanh", "conv", "mean", "sum"),
+                                   ("conv", "tanh", "relu", "sum", "mean"),
+                                   ("tanh", "relu", "conv", "mean", "sum"),
+                                   ("mean", "conv", "sum", "relu", "tanh"),
+                                   ("sum", "mean", "tanh", "conv", "relu")])
 def test_adopted_first_gradient_sums_every_consumer(order):
-    # x feeds relu (adopts its mask product), tanh (accumulates a copy) and a
-    # conv2d (adopts its col2im buffer); the relu output also feeds an add
-    # whose backward passes the same upstream array to both of its operands
+    # x feeds relu (adopts its mask product), tanh (accumulates a copy), a
+    # conv2d (adopts its col2im buffer), a mean and a sum (each adopts its
+    # broadcast gradient); the relu output also feeds an add whose backward
+    # passes the same upstream array to both of its operands
     rng = np.random.default_rng(21)
     x = ag.tensor(rng.normal(size=(2, 3, 5, 4)), dtype=np.float64, requires_grad=True)
     w = ag.tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64)
     g_relu, g_tanh = rng.normal(size=x.shape), rng.normal(size=x.shape)
     g_conv = rng.normal(size=(2, 2, 5, 4))
+    g_mean, g_sum = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5, 1))
     nodes = {}
 
     def term(name):
@@ -318,14 +328,22 @@ def test_adopted_first_gradient_sums_every_consumer(order):
         if name == "tanh":
             t = nodes["tanh"] = ag.tanh(x)
             return ag.tsum(ag.mul(t, ag.tensor(g_tanh, dtype=np.float64)))
+        if name == "mean":
+            m = nodes["mean"] = ag.tmean(x, axis=2)
+            return ag.tsum(ag.mul(m, ag.tensor(g_mean, dtype=np.float64)))
+        if name == "sum":
+            s = nodes["sum"] = ag.tsum(x, axis=3, keepdims=True)
+            return ag.tsum(ag.mul(s, ag.tensor(g_sum, dtype=np.float64)))
         c = nodes["conv"] = ag.conv2d(x, w, pad=1)
         return ag.tsum(ag.mul(c, ag.tensor(g_conv, dtype=np.float64)))
 
-    loss = term(order[0]) + term(order[1]) + term(order[2])
+    loss = term(order[0])
+    for name in order[1:]:
+        loss = loss + term(name)
     loss.backward()
     _, conv_dx, _, _ = _conv2d_oracle(x.data, w.data, np.zeros(2), 1, g_conv)
     want = (2 * g_relu * (x.data > 0) + g_tanh * (1 - np.tanh(x.data) ** 2)
-            + conv_dx)
+            + conv_dx + g_mean[:, :, None, :] / 5 + g_sum)
     np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(nodes["relu"].grad, 2 * g_relu)
     np.testing.assert_array_equal(nodes["add"].grad, g_relu)

@@ -1,6 +1,7 @@
 """End-to-end CLI flow on a deliberately tiny configuration."""
 
 import os
+import zipfile
 
 import numpy as np
 
@@ -129,6 +130,15 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", half, "--out", str(tmp_path / "o")] + TINY)
     assert rc == EXIT_DATA
     assert "unreadable checkpoint" in capsys.readouterr().err
+    # a whole zip whose header.json is cut in half
+    cut = str(tmp_path / "cut_header.zip")
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(cut, "w") as dst:
+        for name in src.namelist():
+            raw = src.read(name)
+            dst.writestr(name, raw[:len(raw) // 2] if name == "header.json" else raw)
+    rc = main(["eval", "--checkpoint", cut, "--out", str(tmp_path / "c")] + TINY)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: unreadable checkpoint {cut}")
 
 
 def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeypatch,
