@@ -69,26 +69,22 @@ def temporal_pool(states, mode="mean", rng=None):
 
 
 class AppearanceBranch(Module):
-    """Global path and a shared (or per-part) local path over 4 stripes.
+    """Global path and a local path shared by the horizontal stripes.
 
     Reduction convs are 1x1, which on spatially pooled column vectors is a
     linear map per frame.
     """
 
     def __init__(self, in_channels, d_g, d_p, n_stripes, num_classes,
-                 use_gru=True, per_part_gru=False, pooling="mean"):
+                 use_gru=True, pooling="mean"):
         self.global_reduce = Linear(in_channels, d_g)
         self.part_reduce = Linear(in_channels, d_p)
         self.global_gru = GRUCell(d_g, d_g)
-        if per_part_gru:
-            self.local_grus = [GRUCell(d_p, d_p) for _ in range(n_stripes)]
-        else:
-            self.local_gru = GRUCell(d_p, d_p)
+        self.local_gru = GRUCell(d_p, d_p)
         self.global_head = Linear(d_g, num_classes)
         self.part_heads = [Linear(d_p, num_classes) for _ in range(n_stripes)]
         self.n_stripes = n_stripes
         self.use_gru = use_gru
-        self.per_part_gru = per_part_gru
         self.pooling = pooling
 
     def _encode(self, perframe, cell, rng):
@@ -104,10 +100,9 @@ class AppearanceBranch(Module):
         g = ag.relu(self.global_reduce(pooled_global))
         g_clip = self._encode(g, self.global_gru, rng)
         parts = []
-        for k, band in enumerate(stripe_split(fm, self.n_stripes)):
+        for band in stripe_split(fm, self.n_stripes):
             p = ag.relu(self.part_reduce(spatial_mean(band)))
-            cell = self.local_grus[k] if self.per_part_gru else self.local_gru
-            parts.append(self._encode(p, cell, rng))
+            parts.append(self._encode(p, self.local_gru, rng))
         logits = [self.global_head(g_clip)] + [h(p) for h, p in zip(self.part_heads, parts)]
         return g_clip, parts, logits
 

@@ -35,22 +35,11 @@ def _load_run_config(args):
     return apply_overrides(cfg, overrides)
 
 
-def _generate(cfg):
-    from .data import default_schema, generate_synthetic
-
-    d = cfg.data
-    return generate_synthetic(
-        d.num_identities, d.seqs_per_identity, d.frames_per_seq, default_schema(),
-        noise=d.noise, occlusion_prob=d.occlusion_prob, seed=d.seed,
-        color_pool=d.color_pool, combo_pool=d.combo_pool,
-        brightness_jitter=d.brightness_jitter)
-
-
 def cmd_synth(args):
-    from .data import save_dataset
+    from .data import generate_from_config, save_dataset
 
     cfg = _load_run_config(args)
-    dataset = _generate(cfg)
+    dataset = generate_from_config(cfg.data)
     out = _out_dir(args)
     save_dataset(out, dataset)
     print(f"wrote {len(dataset.sequences)} sequences to {out}")
@@ -58,11 +47,11 @@ def cmd_synth(args):
 
 
 def _dataset(args, cfg):
-    from .data import load_dataset
+    from .data import generate_from_config, load_dataset
 
     if args.data_dir:
         return load_dataset(args.data_dir)
-    return _generate(cfg)
+    return generate_from_config(cfg.data)
 
 
 def cmd_train(args):
@@ -85,7 +74,8 @@ def cmd_train(args):
 def cmd_eval(args):
     from .data import train_test_split
     from .nn import load_checkpoint
-    from .retrieval import embed_sequences, evaluate, metrics_report, query_gallery_split, write_embeddings
+    from .retrieval import (embed_sequences, evaluate, metrics_report, query_gallery_split,
+                            raw_pixel_record, write_embeddings)
     from .trainer import build_model
 
     cfg = _load_run_config(args)
@@ -103,6 +93,10 @@ def cmd_eval(args):
     report = metrics_report(result)
     with open(os.path.join(out, "metrics.tsv"), "w") as fh:
         fh.write(report)
+    # the untrained reference: frame-averaged raw pixels on the same split
+    queries, gallery = query_gallery_split([raw_pixel_record(s) for s in test_set.sequences])
+    with open(os.path.join(out, "baseline.tsv"), "w") as fh:
+        fh.write(metrics_report(evaluate(queries, gallery, protocol=args.protocol)))
     print(report, end="")
     return EXIT_OK
 
@@ -117,7 +111,8 @@ def cmd_ablate(args):
     seeds = tuple(int(s) for s in args.seeds.split(","))
     variants = args.variants.split(",") if args.variants else None
     rows = ablate(cfg.model, cfg.train, dataset, out, variants=variants,
-                  seeds=seeds, quiet=args.quiet)
+                  seeds=seeds, quiet=args.quiet,
+                  test_seqs_per_id=cfg.data.test_seqs_per_id)
     table = os.path.join(out, "ablation.csv")
     write_ablation_table(table, rows)
     print(f"{'variant':<16} rank-1  mAP")

@@ -22,15 +22,12 @@ class ModelConfig:
     use_spatial_attention: bool = True
     use_ts_context: bool = True
     use_context_memory: bool = True
-    second_pass_input: str = "hidden"  # or "initial"
-    normalize_gates: bool = False
 
     # appearance branch
     d_g: int = 64
     d_p: int = 64
     n_stripes: int = 4
     use_gru: bool = True
-    per_part_gru: bool = False
     pooling: str = "mean"  # mean | max | random-sample
 
     # branch switches
@@ -46,8 +43,6 @@ class ModelConfig:
             raise ValueError("at least one of use_app/use_att must be enabled")
         if self.pooling not in ("mean", "max", "random-sample"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.second_pass_input not in ("hidden", "initial"):
-            raise ValueError(f"unknown second_pass_input {self.second_pass_input!r}")
 
     @property
     def n_attributes(self):

@@ -209,6 +209,16 @@ def generate_synthetic(num_identities, seqs_per_identity, frames_per_seq, schema
     return VideoDataset(schema=schema, sequences=sequences)
 
 
+def generate_from_config(cfg):
+    """`generate_synthetic` on the default schema with every setting taken
+    from a `DataConfig`."""
+    return generate_synthetic(
+        cfg.num_identities, cfg.seqs_per_identity, cfg.frames_per_seq, default_schema(),
+        noise=cfg.noise, occlusion_prob=cfg.occlusion_prob, seed=cfg.seed,
+        color_pool=cfg.color_pool, combo_pool=cfg.combo_pool,
+        brightness_jitter=cfg.brightness_jitter)
+
+
 def _occlude(img, rng, area_lo=0.05, area_hi=0.25):
     C, H, W = img.shape
     area = rng.uniform(area_lo, area_hi) * H * W
@@ -364,12 +374,16 @@ def save_dataset(directory, dataset):
 def load_dataset(directory):
     schema, labels = read_annotations(os.path.join(directory, "annotations.tsv"))
     sequences = []
-    with open(os.path.join(directory, "manifest.tsv")) as fh:
+    manifest = os.path.join(directory, "manifest.tsv")
+    with open(manifest) as fh:
         fh.readline()
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            sid, ident, cam, count, rel = line.rstrip("\n").split("\t")
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 5:
+                raise ValueError(f"{manifest}:{lineno}: expected 5 fields")
+            sid, ident, cam, count, rel = fields
             frames = np.load(os.path.join(directory, rel))
             if len(frames) != int(count):
                 raise ValueError(f"frame count mismatch for sequence {sid}")

@@ -8,18 +8,6 @@ import numpy as np
 from . import autograd as ag
 
 
-def pairwise_sqdist(features):
-    """Squared Euclidean distances between all rows of (B, d) -> (B, B).
-
-    Each entry is one (1 x d)(d x 1) product of the row difference with
-    itself, the same dot product as `diff @ diff` on the two rows.
-    """
-    B, d = features.shape
-    diff = features.reshape((B, 1, d)) - features.reshape((1, B, d))
-    sq = ag.matmul(diff.reshape((B, B, 1, d)), diff.reshape((B, B, d, 1)))
-    return sq.reshape((B, B))
-
-
 def triplet_batch_hard(features, I, V, margin, squared=True):
     """Hinge over (margin + hardest positive - hardest negative), summed over
     all I*V anchors, as one autograd node. Rows must be grouped by identity in
@@ -27,10 +15,11 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
     (sqrt(d + 1e-12)) with squared=False.
 
     The hardest pairs are row-wise masked max / min (Hermans et al. 2017);
-    ties break at the lowest index. Distances are the per-pair products of
-    `pairwise_sqdist`, and the hinges are added one at a time in anchor
-    order, the float order of a scalar loop over anchors. The backward sends
-    +-2 * diff only through the chosen pairs. Tagged "max", the op it mines with.
+    ties break at the lowest index. Each distance is one (1 x d)(d x 1)
+    product of a row difference with itself, and the hinges are added one at
+    a time in anchor order, the float order of a scalar loop over anchors.
+    The backward sends +-2 * diff only through the chosen pairs. Tagged
+    "max", the op it mines with.
     """
     if I < 2 or V < 2:
         raise ValueError("batch-hard triplet needs I >= 2 and V >= 2")
@@ -81,16 +70,25 @@ def ce_label_smooth(logits, targets, epsilon, num_classes=None):
     return -ag.tmean(ag.log(smoothed))
 
 
-def appearance_loss(global_feat, part_feats, logits, targets, I, V, margin, epsilon):
-    """L_app = sum of triplet terms over (global, parts) plus label-smoothed
-    CE over the matching identity heads. `logits` is [global, part_1..H]."""
-    tri = triplet_batch_hard(global_feat, I, V, margin)
-    for p in part_feats:
-        tri = tri + triplet_batch_hard(p, I, V, margin)
+def appearance_loss(global_feat, part_feats, logits, targets, I, V, margin, epsilon,
+                    tri_weight=1.0):
+    """L_app = tri_weight * (triplet terms over global and parts) plus
+    label-smoothed CE over the matching identity heads, `logits` being
+    [global, part_1..H]. Returns (L_app, L_tri, L_ide) with the last two as
+    unweighted floats; with tri_weight 0 the triplet terms are not built and
+    L_tri is 0."""
     ide = ce_label_smooth(logits[0], targets, epsilon)
     for lg in logits[1:]:
         ide = ide + ce_label_smooth(lg, targets, epsilon)
-    return tri + ide
+    if tri_weight <= 0.0:
+        return ide, 0.0, ide.item()
+    tri = triplet_batch_hard(global_feat, I, V, margin)
+    for p in part_feats:
+        tri = tri + triplet_batch_hard(p, I, V, margin)
+    l_tri = tri.item()
+    if tri_weight != 1.0:
+        tri = ag.constant(float(tri_weight), like=tri) * tri
+    return tri + ide, l_tri, ide.item()
 
 
 def attribute_loss(attr_logits, attr_targets, epsilon):

@@ -30,8 +30,6 @@ class TALNet(Module):
             if cfg.use_ts_context:
                 self.ts_block = TemporalSemanticBlock(
                     cfg.d_v, cfg.d, cfg.attention_hidden, cfg.category_counts,
-                    second_pass_input=cfg.second_pass_input,
-                    normalize_gates=cfg.normalize_gates,
                     use_context_memory=cfg.use_context_memory)
             else:
                 # temporal mean of the initial features, classified directly
@@ -40,8 +38,7 @@ class TALNet(Module):
         if cfg.use_app:
             self.appearance = AppearanceBranch(
                 cf, cfg.d_g, cfg.d_p, cfg.n_stripes, cfg.num_classes,
-                use_gru=cfg.use_gru, per_part_gru=cfg.per_part_gru,
-                pooling=cfg.pooling)
+                use_gru=cfg.use_gru, pooling=cfg.pooling)
 
     def extract_feature_maps(self, frames):
         """frames: (B, T, C, H, W) ndarray or Tensor -> (B, T, Cf, Hm, Wm)."""

@@ -9,7 +9,6 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
-from . import autograd as ag
 from . import losses
 from .config import config_dict
 from .data import all_clips, pk_sample, random_erase, train_test_split
@@ -83,41 +82,87 @@ def compute_loss(model, frames, id_targets, attr_targets, tc, stage, rng,
                  tri_weight=1.0):
     """Forward + loss for one PK batch; id_targets are class indices.
 
-    tri_weight scales the triplet terms during the warmup schedule (0 during
-    CE-only warmup, ramping to 1 afterwards): running the hard-mining loss at
-    full strength on unseparated features contracts them toward a single
-    point before the classifiers can pull identities apart. The logged L_tri
-    is always the unweighted value.
+    tri_weight scales the triplet terms (see `TripletSchedule`); the logged
+    L_tri is always the unweighted value.
     """
     cfg = model.cfg
     out = model.forward_clips(frames, rng=rng, att=stage != "appearance-only")
-    I, V = tc.batch_identities, tc.clips_per_identity
     l_app = l_att = None
     parts = {}
     if cfg.use_app:
-        ide = None
-        for lg in out["app_logits"]:
-            term = losses.ce_label_smooth(lg, id_targets, tc.epsilon)
-            ide = term if ide is None else ide + term
-        if tri_weight > 0.0:
-            tri = losses.triplet_batch_hard(out["app_global"], I, V, tc.margin)
-            for p in out["app_parts"]:
-                tri = tri + losses.triplet_batch_hard(p, I, V, tc.margin)
-            parts["L_tri"] = tri.item()
-            if tri_weight != 1.0:
-                tri = ag.constant(float(tri_weight), like=tri) * tri
-            l_app = tri + ide
-        else:
-            l_app = ide
-            parts["L_tri"] = 0.0
-        parts["L_ide"] = ide.item()
-        parts["L_app"] = l_app.item()
+        l_app, parts["L_tri"], parts["L_ide"] = losses.appearance_loss(
+            out["app_global"], out["app_parts"], out["app_logits"], id_targets,
+            tc.batch_identities, tc.clips_per_identity, tc.margin, tc.epsilon,
+            tri_weight)
     if cfg.use_att and stage != "appearance-only":
         l_att = losses.attribute_loss(out["attr_logits"], attr_targets, tc.epsilon)
         parts["L_att"] = l_att.item()
     loss = losses.total_loss(l_app, l_att, tc.lambda_total)
     parts["L"] = loss.item()
     return loss, parts
+
+
+class TripletSchedule:
+    """When the batch-hard triplet runs, and at what weight.
+
+    Training starts CE-only: running the hard-mining loss at full strength on
+    unseparated features contracts them toward a single point before the
+    classifiers can pull identities apart. Warmup lasts at least
+    `warmup_epochs` and ends once the epoch-mean CE has dropped to
+    `warmup_exit_frac` of its first warmup epoch's value, or after
+    3 x `warmup_epochs` regardless. The triplet weight then ramps linearly
+    to 1 over `triplet_ramp_epochs`.
+
+    Hard mining can still collapse every feature to one point, which pins the
+    epoch-mean triplet loss at margin * I * V * heads. A healthy decline
+    passes through that value, so only two consecutive pinned epochs with CE
+    no better than at the warmup exit count as collapse: the trainer then
+    restores the parameters it saved at the exit, and warmup resumes with a
+    0.85x stricter exit bar.
+    """
+
+    def __init__(self, tc, n_heads):
+        self.warmup_epochs = tc.warmup_epochs
+        self.ramp_epochs = max(tc.triplet_ramp_epochs, 1)
+        self.exit_frac = tc.warmup_exit_frac
+        self.floor = tc.margin * tc.batch_identities * tc.clips_per_identity * n_heads
+        self.warming = tc.warmup_epochs > 0
+        self.warm_done = 0  # warmup epochs, never reset
+        self.tri_epochs = 0  # triplet epochs since the last warmup exit
+        self.pinned_streak = 0
+        self.ce_start = self.ce_exit = None
+
+    def weight(self):
+        if self.warming:
+            return 0.0
+        return min(1.0, (self.tri_epochs + 1) / self.ramp_epochs)
+
+    def on_epoch_end(self, mean_ce, mean_tri):
+        """Advance one epoch; returns "warmup_exit", "collapse_rollback" or None."""
+        if self.warming:
+            self.warm_done += 1
+            if self.ce_start is None:
+                self.ce_start = mean_ce
+            separated = (self.warm_done >= self.warmup_epochs
+                         and mean_ce <= self.exit_frac * self.ce_start)
+            if not (separated or self.warm_done >= 3 * self.warmup_epochs):
+                return None
+            self.warming = False
+            self.tri_epochs = self.pinned_streak = 0
+            self.ce_exit = mean_ce
+            return "warmup_exit"
+        self.tri_epochs += 1
+        if self.ce_exit is None or self.floor <= 0:
+            return None  # nothing to roll back to, or no triplet to collapse
+        pinned = (abs(mean_tri - self.floor) <= 0.05 * self.floor
+                  and mean_ce >= self.ce_exit)
+        self.pinned_streak = self.pinned_streak + 1 if pinned else 0
+        if self.pinned_streak < 2:
+            return None
+        self.warming = True
+        self.pinned_streak = 0
+        self.exit_frac *= 0.85
+        return "collapse_rollback"
 
 
 def _stage_params(model, stage):
@@ -144,28 +189,21 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     ckpt_path = os.path.join(out_dir, "checkpoint.zip")
     cfg_hash = config_hash({"model": config_dict(model.cfg), "train": config_dict(tc)})
 
-    stages = []
     if model.cfg.use_app and model.cfg.use_att:
         stages = [("appearance-only", tc.stage1_epochs), ("joint", tc.stage2_epochs)]
     else:
         stages = [("joint", tc.stage1_epochs + tc.stage2_epochs)]
 
+    n_heads = (1 + model.cfg.n_stripes) if model.cfg.use_app else 0
+    schedule = TripletSchedule(tc, n_heads)
+    snapshot = None
+    span = max(sum(e for _, e in stages) - 1, 1)
+    epochs_done = 0
     log_path = os.path.join(out_dir, log_name)
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "epoch", "step", "L_tri", "L_ide", "L_att", "L"])
         global_step = 0
-        warming = tc.warmup_epochs > 0
-        warm_done = 0
-        ce_start = None
-        exit_frac = tc.warmup_exit_frac
-        snapshot = None
-        tri_epochs = 0  # epochs since warmup exit, drives the triplet ramp
-        pinned_streak = 0
-        n_heads = (1 + model.cfg.n_stripes) if model.cfg.use_app else 0
-        tri_floor = tc.margin * tc.batch_identities * tc.clips_per_identity * n_heads
-        total_epochs = sum(e for _, e in stages)
-        epochs_done = 0
         for stage, epochs in stages:
             opt = SGD(_stage_params(model, stage), lr=tc.lr,
                       momentum=tc.momentum, weight_decay=tc.weight_decay,
@@ -176,16 +214,9 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                 # shrinking step size damps batch-to-batch oscillation, and a
                 # longer warmup automatically hands the hard-mining loss a
                 # smaller, more stable step size when it kicks in
-                span = max(total_epochs - 1, 1)
                 opt.lr = tc.lr * tc.decay_factor ** (min(epochs_done, span) / span)
-                if warming:
-                    tri_weight = 0.0
-                else:
-                    ramp = max(tc.triplet_ramp_epochs, 1)
-                    tri_weight = min(1.0, (tri_epochs + 1) / ramp)
-                epoch_losses = []
-                epoch_ce = []
-                epoch_tri = []
+                tri_weight = schedule.weight()
+                epoch_rows = []
                 for _ in range(steps_per_epoch):
                     batch = pk_sample(clips, tc.batch_identities, tc.clips_per_identity, rng)
                     batch = [random_erase(c, tc.erase_prob, erase_rng) for c in batch]
@@ -202,60 +233,28 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                             f"last checkpoint kept at {ckpt_path}")
                     loss.backward()
                     opt.step()
-                    tri, ide = _split_app_loss(parts)
-                    writer.writerow([stage, epoch, global_step,
-                                     f"{tri:.6f}", f"{ide:.6f}",
-                                     f"{parts.get('L_att', 0.0):.6f}",
-                                     f"{parts['L']:.6f}"])
-                    epoch_losses.append(parts["L"])
-                    epoch_ce.append(parts.get("L_ide", 0.0))
-                    epoch_tri.append(parts.get("L_tri", 0.0))
+                    row = [parts.get(k, 0.0) for k in ("L_tri", "L_ide", "L_att", "L")]
+                    writer.writerow([stage, epoch, global_step] + [f"{v:.6f}" for v in row])
+                    epoch_rows.append(row)
                     global_step += 1
-                mean_loss = float(np.mean(epoch_losses))
+                mean_tri, mean_ide, _, mean_loss = (
+                    float(np.mean(col)) for col in zip(*epoch_rows))
                 epochs_done += 1
-                if warming:
-                    warm_done += 1
-                    mean_ce = float(np.mean(epoch_ce))
-                    if ce_start is None:
-                        ce_start = mean_ce
-                    separated = (warm_done >= tc.warmup_epochs
-                                 and mean_ce <= exit_frac * ce_start)
-                    if separated or warm_done >= 3 * tc.warmup_epochs:
-                        warming = False
-                        tri_epochs = 0
-                        pinned_streak = 0
-                        # the loss surface changes when the triplet kicks in
-                        opt.velocity = [np.zeros_like(v) for v in opt.velocity]
-                        snapshot = {n: p.data.copy()
-                                    for n, p in model.named_parameters()}
-                        ce_switch = float(np.mean(epoch_ce))
-                elif snapshot is not None and tri_floor > 0:
-                    tri_epochs += 1
-                    # hard mining can still contract every feature to one
-                    # point, which pins the epoch triplet loss at
-                    # margin * batch * heads and keeps it there; a healthy
-                    # decline passes through that value, so only two
-                    # consecutive pinned epochs (with CE no better than at
-                    # the switch) count as collapse. Roll back to the
-                    # pre-triplet parameters and keep training CE-only with
-                    # a stricter exit bar.
-                    mean_tri = float(np.mean(epoch_tri))
-                    pinned = (abs(mean_tri - tri_floor) <= 0.05 * tri_floor
-                              and float(np.mean(epoch_ce)) >= ce_switch)
-                    pinned_streak = pinned_streak + 1 if pinned else 0
-                    if pinned_streak >= 2:
-                        for name, p in model.named_parameters():
-                            p.tensor.data = snapshot[name].copy()
-                            p.tensor.grad = None
-                        opt.velocity = [np.zeros_like(v) for v in opt.velocity]
-                        warming = True
-                        pinned_streak = 0
-                        exit_frac *= 0.85
-                        recent = []
+                event = schedule.on_epoch_end(mean_ide, mean_tri)
+                if event == "warmup_exit":
+                    snapshot = {n: p.data.copy() for n, p in model.named_parameters()}
+                elif event == "collapse_rollback":
+                    for name, p in model.named_parameters():
+                        p.tensor.data = snapshot[name].copy()
+                        p.tensor.grad = None
+                    recent = []
+                if event:
+                    # the loss surface changes when the triplet starts or stops
+                    opt.velocity = [np.zeros_like(v) for v in opt.velocity]
                 if not quiet:
                     print(f"[{stage}] epoch {epoch}: loss {mean_loss:.4f}")
                 # stage-1 plateau stop (not during warmup)
-                if stage == "appearance-only" and not warming:
+                if stage == "appearance-only" and not schedule.warming:
                     recent.append(mean_loss)
                     if len(recent) > tc.plateau_window:
                         prev = recent[-tc.plateau_window - 1]
@@ -263,11 +262,6 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                             break
     save_checkpoint(ckpt_path, model, tc.seed, cfg_hash)
     return model, ckpt_path, log_path
-
-
-def _split_app_loss(parts):
-    # the CSV separates triplet and CE portions when available
-    return parts.get("L_tri", parts.get("L_app", 0.0)), parts.get("L_ide", 0.0)
 
 
 def evaluate_split(model, test_sequences, lambda_sim, T, feature_mode="fused"):
@@ -310,7 +304,7 @@ ABLATION_VARIANTS = {
 
 
 def ablate(model_cfg, train_cfg, dataset, out_dir, variants=None, seeds=(0,),
-           quiet=True):
+           quiet=True, test_seqs_per_id=2):
     """Train each variant on the shared split and tabulate Rank-1 / mAP.
 
     Returns rows of (variant, rank1, mAP) averaged over seeds. Variants that
@@ -318,7 +312,7 @@ def ablate(model_cfg, train_cfg, dataset, out_dir, variants=None, seeds=(0,),
     figures.
     """
     variants = variants or list(ABLATION_VARIANTS)
-    train_set, test_set = train_test_split(dataset)
+    train_set, test_set = train_test_split(dataset, test_seqs_per_id)
     rows, scores = [], {}
     for name in variants:
         cfg = replace(model_cfg, **ABLATION_VARIANTS[name])

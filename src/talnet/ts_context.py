@@ -43,36 +43,26 @@ class TSGRUCell(Module):
         return z_a, z_t, r_a, r_t, h_cand
 
 
-def ts_gru_step(cell, v, h_attr, h_time, normalize_gates=False):
+def ts_gru_step(cell, v, h_attr, h_time):
     """One lattice step: h = zA.h_attr + zT.h_time + (1 - zA - zT).h_cand.
 
     The (1 - zA - zT) coefficient is kept exactly as written (it may go
-    negative); normalize_gates optionally rescales (zA, zT) by their sum
-    whenever it exceeds 1.
+    negative).
     """
-    h = _lattice_step(cell, v, h_attr, h_time, normalize_gates)
+    h = _lattice_step(cell, v, h_attr, h_time)
     if not np.all(np.isfinite(h.data)):
         raise ag.NonFiniteError("ts_gru_step")
     return h
 
 
-def _lattice_step(cell, v, h_attr, h_time, normalize_gates, s_attr=None, s_time=None):
+def _lattice_step(cell, v, h_attr, h_time, s_attr=None, s_time=None):
     """h = wA.h_attr + wT.h_time + (1 - wA - wT).h_cand with wA = sA.zA and
     wT = sT.zT; the scores sA, sT (rows, 1) default to one."""
     z_a, z_t, _, _, h_cand = cell.gates(v, h_attr, h_time)
-    if normalize_gates:
-        z_a, z_t = _rescale_gates(z_a, z_t)
     if s_attr is not None:
         z_a, z_t = s_attr * z_a, s_time * z_t
     one = ag.constant(1.0, like=v)
     return z_a * h_attr + z_t * h_time + (one - z_a - z_t) * h_cand
-
-
-def _rescale_gates(z_a, z_t):
-    total = z_a + z_t
-    one = ag.constant(1.0, like=z_a)
-    denom = ag.relu(total - one) + one  # max(zA + zT, 1)
-    return z_a / denom, z_t / denom
 
 
 def _diagonals(N, T):
@@ -94,7 +84,7 @@ def _to_diagonal_rows(x, order):
     return cells.reshape((N * T, B) + rest)[order].reshape((N * T * B,) + rest)
 
 
-def _wavefront(cell, v, name, normalize_gates=False, a_s=None, a_t=None):
+def _wavefront(cell, v, name, a_s=None, a_t=None):
     """Run the lattice recurrence one anti-diagonal at a time.
 
     Cell (a, t) reads only (a-1, t) and (a, t-1), both on diagonal a+t-1, so
@@ -120,7 +110,7 @@ def _wavefront(cell, v, name, normalize_gates=False, a_s=None, a_t=None):
         h_time = padded[(off + 1) * B:(off + m + 1) * B]
         rows = slice(start * B, (start + m) * B)
         scores = (s_rows[rows], t_rows[rows]) if a_s is not None else ()
-        h = _lattice_step(cell, x[rows], h_attr, h_time, normalize_gates, *scores)
+        h = _lattice_step(cell, x[rows], h_attr, h_time, *scores)
         bad = ~np.isfinite(h.data).all(axis=1)
         if bad.any():
             a = lo + int(np.argmax(bad)) // B
@@ -175,15 +165,15 @@ class AttentionScorer(Module):
         return a_s, a_t, e_s, e_t
 
 
-def second_pass(cell, v, a_s, a_t, normalize_gates=False):
+def second_pass(cell, v, a_s, a_t):
     """Attention-weighted lattice: h' = aS.zA.h'_attr + aT.zT.h'_time
     + (1 - aS.zA - aT.zT).h_cand, with gates computed from the second pass's
     own predecessor states. Runs as the same wavefront as `first_pass`.
 
-    v: (B, N, T, din) input per step (the first-pass hidden states by
-    default); a_s, a_t: (B, N, T) scores.
+    v: (B, N, T, din) input per step (the block feeds the first-pass hidden
+    states); a_s, a_t: (B, N, T) scores.
     """
-    return _wavefront(cell, v, "second_pass", normalize_gates, a_s, a_t)
+    return _wavefront(cell, v, "second_pass", a_s, a_t)
 
 
 def attribute_readout(hgrid):
@@ -207,15 +197,11 @@ class TemporalSemanticBlock(Module):
     """Two TS-GRUs around the context-memory attention scorer."""
 
     def __init__(self, d_v, d, attention_hidden, category_counts,
-                 second_pass_input="hidden", normalize_gates=False,
                  use_context_memory=True):
         self.cell1 = TSGRUCell(d_v, d)
-        cell2_in = d if second_pass_input == "hidden" else d_v
-        self.cell2 = TSGRUCell(cell2_in, d)
+        self.cell2 = TSGRUCell(d, d)  # input: the first-pass hidden states
         self.scorer = AttentionScorer(d, attention_hidden)
         self.heads = AttributeHeads(d, category_counts)
-        self.second_pass_input = second_pass_input
-        self.normalize_gates = normalize_gates
         self.use_context_memory = use_context_memory
 
     def __call__(self, v):
@@ -226,7 +212,6 @@ class TemporalSemanticBlock(Module):
             return readout, self.heads(readout), None
         f_s, f_t = build_context(h1)
         a_s, a_t, e_s, e_t = self.scorer(h1, f_s, f_t)
-        v2 = h1 if self.second_pass_input == "hidden" else v
-        h2 = second_pass(self.cell2, v2, a_s, a_t, normalize_gates=self.normalize_gates)
+        h2 = second_pass(self.cell2, h1, a_s, a_t)
         readout = attribute_readout(h2)
         return readout, self.heads(readout), (a_s, a_t, e_s, e_t)

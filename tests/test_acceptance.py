@@ -16,7 +16,8 @@ from talnet.attention import AffineParams, region_vertices, squash_raw
 from talnet.appearance import GRUCell, gru_encode
 from talnet.checks import run_all
 from talnet.config import DataConfig, ModelConfig, TrainConfig
-from talnet.data import default_schema, generate_synthetic, train_test_split
+from talnet.data import (default_schema, generate_from_config, generate_synthetic,
+                         train_test_split)
 from talnet.losses import ce_label_smooth, triplet_batch_hard
 from talnet.nn import load_checkpoint
 from talnet.retrieval import (EmbeddingRecord, evaluate, fused_distance,
@@ -205,12 +206,7 @@ def test_criterion_7_fused_distance():
 # --- 8/9/10: training-based criteria -------------------------------------------
 
 def _generate(dc):
-    ds = generate_synthetic(dc.num_identities, dc.seqs_per_identity,
-                            dc.frames_per_seq, default_schema(), noise=dc.noise,
-                            occlusion_prob=dc.occlusion_prob, seed=dc.seed,
-                            color_pool=dc.color_pool, combo_pool=dc.combo_pool,
-                            brightness_jitter=dc.brightness_jitter)
-    return train_test_split(ds, dc.test_seqs_per_id)
+    return train_test_split(generate_from_config(dc), dc.test_seqs_per_id)
 
 
 @pytest.mark.slow

@@ -169,20 +169,6 @@ def test_branch_frame_permutation_changes_gru_but_not_meanpool(rng):
         np.testing.assert_allclose(a.data, b.data, atol=1e-10)
 
 
-def test_branch_per_part_grus_are_distinct(rng):
-    br = _branch(per_part_gru=True)
-    # identical stripes: shared GRU would give identical part vectors, while
-    # per-part cells (different init) should not
-    stripe = rng.normal(size=(2, 3, 6, 2, 4))
-    fm = ag.tensor(np.concatenate([stripe] * 4, axis=-2), dtype=np.float64)
-    _, parts, _ = br(fm)
-    assert not np.allclose(parts[0].data, parts[1].data)
-
-    shared = _branch(per_part_gru=False)
-    _, parts_s, _ = shared(fm)
-    np.testing.assert_allclose(parts_s[0].data, parts_s[1].data, atol=1e-12)
-
-
 def test_branch_random_pooling_deterministic_given_rng(rng):
     fm = ag.tensor(rng.normal(size=(2, 4, 6, 8, 4)), dtype=np.float64)
     br = _branch(pooling="random-sample")

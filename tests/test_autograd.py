@@ -89,14 +89,28 @@ def test_conv2d_rectangular_and_single_channel_match_oracle(kernel, pad, channel
     _check_conv2d_oracle(rng, C, Co, kh, kw, pad, size)
 
 
+_np_empty = np.empty
+
+
+def _nan_empty(*args, **kwargs):
+    out = _np_empty(*args, **kwargs)
+    if out.dtype.kind in "fc":
+        out.fill(np.nan)
+    return out
+
+
 def _check_conv2d_oracle(rng, C, Co, kh, kw, pad, size=(2, 6, 5)):
     B, H, W = size
     x = ag.tensor(rng.normal(size=(B, C, H, W)), dtype=np.float64, requires_grad=True)
     w = ag.tensor(rng.normal(size=(Co, C, kh, kw)), dtype=np.float64, requires_grad=True)
     b = ag.tensor(rng.normal(size=(Co,)), dtype=np.float64, requires_grad=True)
-    out = ag.conv2d(x, w, b, pad=pad)
-    g = rng.normal(size=out.shape)
-    ag.tsum(ag.mul(out, ag.tensor(g, dtype=np.float64))).backward()
+    g = rng.normal(size=(B, Co, H + 2 * pad - kh + 1, W + 2 * pad - kw + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        # NaN-filled scratch buffers: an entry the kernel never writes shows
+        # up in the result instead of depending on what the allocator reused
+        mp.setattr(np, "empty", _nan_empty)
+        out = ag.conv2d(x, w, b, pad=pad)
+        ag.tsum(ag.mul(out, ag.tensor(g, dtype=np.float64))).backward()
     want_out, want_dx, want_dw, want_db = _conv2d_oracle(x.data, w.data, b.data, pad, g)
     np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(x.grad, want_dx, rtol=1e-12, atol=1e-12)

@@ -6,6 +6,8 @@ import zipfile
 import numpy as np
 
 from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from talnet.data import load_dataset, train_test_split
+from talnet.retrieval import evaluate, metrics_report, query_gallery_split, raw_pixel_record
 
 TINY = [
     "--set", "data.num_identities=4",
@@ -75,6 +77,12 @@ def test_full_flow_synth_train_eval_dump(tmp_path, capsys):
     assert os.path.exists(os.path.join(eval_dir, "embeddings.tsv"))
     metrics = open(os.path.join(eval_dir, "metrics.tsv")).read()
     assert "rank-1" in metrics and "mAP" in metrics
+    # the raw-pixel baseline on the same test split, in the same format
+    _, test_set = train_test_split(load_dataset(data_dir), 2)
+    q, g = query_gallery_split([raw_pixel_record(s) for s in test_set.sequences])
+    baseline = open(os.path.join(eval_dir, "baseline.tsv")).read()
+    assert baseline == metrics_report(evaluate(q, g))
+    assert baseline.splitlines()[0] == metrics.splitlines()[0] == "metric\tvalue"
 
     assert main(["dump-attention", "--data-dir", data_dir,
                  "--checkpoint", ckpt, "--sequence", "0",
@@ -174,3 +182,17 @@ def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeyp
     fresh = trainer.build_model(cfg.model, dataset, cfg.train.seed)
     assert any(not np.array_equal(a.data, b.data)  # two steps were taken
                for a, b in zip(model.parameters(), fresh.parameters()))
+
+
+def test_manifest_cut_mid_row_names_file_and_line(tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
+    manifest = os.path.join(data_dir, "manifest.tsv")
+    text = open(manifest).read()
+    cut = text.index("\t", text.index("\n", text.index("\n") + 1) + 1)
+    with open(manifest, "w") as fh:
+        fh.write(text[:cut + 2])  # header, row 1, then two fields of row 2
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", data_dir, "--out", str(tmp_path / "run")] + TINY)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {manifest}:3: expected 5 fields\n"

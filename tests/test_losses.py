@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from talnet import autograd as ag
 from talnet.gradcheck import grad_check
 from talnet.losses import (appearance_loss, attribute_loss, ce_label_smooth,
-                           pairwise_sqdist, total_loss, triplet_batch_hard)
+                           total_loss, triplet_batch_hard)
 
 # --- brute-force oracles -----------------------------------------------------
 
@@ -59,6 +59,16 @@ def _ce_oracle(logits, targets, eps):
 
 
 # --- pairwise distances --------------------------------------------------------
+
+
+def pairwise_sqdist(features):
+    """Squared Euclidean distances between all rows of (B, d) -> (B, B), as
+    graph nodes: each entry is one (1 x d)(d x 1) product of the row
+    difference with itself, the per-pair product `triplet_batch_hard` uses."""
+    B, d = features.shape
+    diff = features.reshape((B, 1, d)) - features.reshape((1, B, d))
+    sq = ag.matmul(diff.reshape((B, B, 1, d)), diff.reshape((B, B, d, 1)))
+    return sq.reshape((B, B))
 
 
 def test_pairwise_sqdist_hand_example():
@@ -210,17 +220,42 @@ def test_appearance_loss_assembly(rng):
     parts = [rng.normal(size=(4, 2)) for _ in range(2)]
     logits = [rng.normal(size=(4, G)) for _ in range(3)]
     targets = np.array([0, 0, 1, 1])
-    got = float(appearance_loss(
-        ag.tensor(g, dtype=np.float64),
-        [ag.tensor(p, dtype=np.float64) for p in parts],
-        [ag.tensor(l, dtype=np.float64) for l in logits],
-        targets, I, V, margin=0.3, epsilon=0.1).item())
-    expected = _triplet_oracle(g, I, V, 0.3)
+
+    def run(tri_weight):
+        loss, l_tri, l_ide = appearance_loss(
+            ag.tensor(g, dtype=np.float64),
+            [ag.tensor(p, dtype=np.float64) for p in parts],
+            [ag.tensor(l, dtype=np.float64) for l in logits],
+            targets, I, V, margin=0.3, epsilon=0.1, tri_weight=tri_weight)
+        return float(loss.item()), l_tri, l_ide
+
+    want_tri = _triplet_oracle(g, I, V, 0.3)
     for p in parts:
-        expected += _triplet_oracle(p, I, V, 0.3)
-    for l in logits:
-        expected += _ce_oracle(l, targets, 0.1)
-    assert got == pytest.approx(expected, abs=1e-8)
+        want_tri += _triplet_oracle(p, I, V, 0.3)
+    want_ide = sum(_ce_oracle(l, targets, 0.1) for l in logits)
+    assert want_tri > 0
+    got, l_tri, l_ide = run(1.0)
+    assert got == pytest.approx(want_tri + want_ide, abs=1e-8)
+    assert (l_tri, l_ide) == pytest.approx((want_tri, want_ide), abs=1e-8)
+    # the logged triplet value stays unweighted
+    got, l_tri, l_ide = run(0.25)
+    assert got == pytest.approx(0.25 * want_tri + want_ide, abs=1e-8)
+    assert (l_tri, l_ide) == pytest.approx((want_tri, want_ide), abs=1e-8)
+    # weight 0: CE only, with no triplet node ("max") in the graph
+    feats = [ag.tensor(f, dtype=np.float64, requires_grad=True) for f in [g] + parts]
+    loss, l_tri, l_ide = appearance_loss(
+        feats[0], feats[1:], [ag.tensor(l, dtype=np.float64, requires_grad=True)
+                              for l in logits],
+        targets, I, V, margin=0.3, epsilon=0.1, tri_weight=0.0)
+    assert (float(loss.item()), l_tri, l_ide) == pytest.approx((want_ide, 0.0, want_ide),
+                                                               abs=1e-8)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node._op != "max" and all(node is not f for f in feats)
+            stack.extend(node._parents)
 
 
 def test_attribute_loss_sums_heads(rng):

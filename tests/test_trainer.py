@@ -230,6 +230,75 @@ def test_collapse_guard_rolls_back_to_ce_only(tmp_path, small_dataset,
     assert tri_by_epoch[3] == {0.0}
 
 
+# --- triplet schedule -------------------------------------------------------------
+
+
+def _schedule(n_heads=5, **kw):
+    from dataclasses import replace
+    return trainer_mod.TripletSchedule(replace(TINY_TRAIN, **kw), n_heads)
+
+
+def test_schedule_exits_warmup_on_ce_fraction():
+    s = _schedule(warmup_epochs=3, warmup_exit_frac=0.5, triplet_ramp_epochs=1)
+    assert s.weight() == 0.0
+    assert s.on_epoch_end(10.0, 0.0) is None  # sets the reference CE
+    assert s.on_epoch_end(4.0, 0.0) is None  # low enough, but within warmup_epochs
+    assert s.weight() == 0.0
+    assert s.on_epoch_end(5.1, 0.0) is None  # past warmup_epochs, above 0.5 x 10
+    assert s.on_epoch_end(5.0, 0.0) == "warmup_exit"
+    assert not s.warming and s.weight() == 1.0
+
+
+def test_schedule_hard_cap_is_three_warmups():
+    s = _schedule(warmup_epochs=2, warmup_exit_frac=0.1)
+    events = [s.on_epoch_end(10.0, 0.0) for _ in range(6)]
+    assert events == [None] * 5 + ["warmup_exit"]
+
+
+def test_schedule_ramps_triplet_weight_after_warmup():
+    s = _schedule(warmup_epochs=1, warmup_exit_frac=10.0, triplet_ramp_epochs=3)
+    weights = []
+    for _ in range(5):
+        weights.append(s.weight())
+        s.on_epoch_end(1.0, 0.0)
+    assert weights == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0, 1.0])
+
+
+def test_schedule_ramps_without_warmup():
+    s = _schedule(warmup_epochs=0, triplet_ramp_epochs=3)
+    weights = []
+    floor = s.floor
+    for _ in range(4):
+        weights.append(s.weight())
+        # pinned epochs cannot roll back: no warmup exit, nothing saved
+        assert s.on_epoch_end(1.0, floor) is None
+    assert weights == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
+
+
+def test_schedule_rolls_back_after_two_pinned_epochs():
+    s = _schedule(warmup_epochs=1, warmup_exit_frac=10.0, triplet_ramp_epochs=1)
+    floor = TINY_TRAIN.margin * TINY_TRAIN.batch_identities * TINY_TRAIN.clips_per_identity * 5
+    assert s.floor == pytest.approx(floor)
+    assert s.on_epoch_end(2.0, 0.0) == "warmup_exit"  # CE at the exit: 2.0
+    assert s.on_epoch_end(2.0, floor) is None  # pinned once
+    assert s.on_epoch_end(2.0, 0.5 * floor) is None  # declining: streak resets
+    assert s.on_epoch_end(2.0, floor) is None
+    assert s.on_epoch_end(1.9, 1.04 * floor) is None  # CE improved: not pinned
+    assert s.on_epoch_end(2.1, 1.04 * floor) is None
+    assert s.on_epoch_end(2.0, 0.96 * floor) == "collapse_rollback"
+    assert s.warming and s.weight() == 0.0
+    assert s.exit_frac == pytest.approx(10.0 * 0.85)
+    # warmup_epochs is long done, so the next epoch under the bar exits again
+    assert s.on_epoch_end(2.0, 0.0) == "warmup_exit"
+    assert s.exit_frac == pytest.approx(10.0 * 0.85)
+
+
+def test_schedule_without_appearance_branch_never_rolls_back():
+    s = _schedule(n_heads=0, warmup_epochs=1, warmup_exit_frac=10.0)
+    assert s.on_epoch_end(2.0, 0.0) == "warmup_exit"
+    assert [s.on_epoch_end(2.0, 0.0) for _ in range(3)] == [None] * 3
+
+
 def test_single_stage_when_branch_ablated(tmp_path, small_dataset):
     from dataclasses import replace
     cfg = replace(TINY_MODEL, use_att=False)
@@ -247,15 +316,17 @@ def test_ablation_variants_are_valid_configs():
 
 def test_ablate_trains_each_distinct_config_once(tmp_path, small_dataset, monkeypatch):
     """`pool_mean` resolves to the same config as `TALNet_wo_Att`: one
-    training per seed, reported under both names."""
+    training per seed, reported under both names. The split follows
+    `test_seqs_per_id`."""
     from talnet.retrieval import RankingResult
-    trained = []
+    trained, evaluated = [], []
 
     def fake_train(cfg, tcfg, train_set, run_dir, quiet=True):
-        trained.append((cfg.pooling, cfg.use_att, tcfg.seed))
+        trained.append((cfg.pooling, cfg.use_att, tcfg.seed, len(train_set.sequences)))
         return len(trained), None, None
 
     def fake_evaluate(model, sequences, lambda_sim, clip_len):
+        evaluated.append([s.sequence_id for s in sequences])
         return RankingResult(cmc=np.array([model / 10.0]), mean_ap=model / 100.0)
 
     monkeypatch.setattr(trainer_mod, "train", fake_train)
@@ -263,11 +334,22 @@ def test_ablate_trains_each_distinct_config_once(tmp_path, small_dataset, monkey
     rows = trainer_mod.ablate(TINY_MODEL, TINY_TRAIN, small_dataset, str(tmp_path),
                               variants=["TALNet_wo_Att", "pool_max", "pool_mean"],
                               seeds=(0, 1))
-    assert trained == [("mean", False, 0), ("mean", False, 1),
-                       ("max", False, 0), ("max", False, 1)]
+    assert trained == [("mean", False, 0, 8), ("mean", False, 1, 8),
+                       ("max", False, 0, 8), ("max", False, 1, 8)]
     assert [r[0] for r in rows] == ["TALNet_wo_Att", "pool_max", "pool_mean"]
     assert rows[2][1:] == rows[0][1:] == pytest.approx((0.15, 0.015))
     assert rows[1][1:] == pytest.approx((0.35, 0.035))
+    _, test_set = train_test_split(small_dataset, 2)
+    assert evaluated == [[s.sequence_id for s in test_set.sequences]] * 4
+
+    trained.clear()
+    evaluated.clear()
+    trainer_mod.ablate(TINY_MODEL, TINY_TRAIN, small_dataset, str(tmp_path),
+                       variants=["TALNet_wo_Att"], test_seqs_per_id=1)
+    _, test_set = train_test_split(small_dataset, 1)
+    assert trained == [("mean", False, 0, 12)]
+    assert evaluated == [[s.sequence_id for s in test_set.sequences]]
+    assert len(evaluated[0]) == len(small_dataset.identities)
 
 
 def test_write_ablation_table(tmp_path):

@@ -148,21 +148,6 @@ def test_gates_strictly_in_unit_interval(rng):
         assert np.all(g.data > 0) and np.all(g.data < 1)
 
 
-def test_normalize_gates_flag_bounds_coefficient():
-    cell = _cell64(3, 4, 11)
-    rng = np.random.default_rng(0)
-    v = ag.tensor(rng.normal(size=(4, 3)), dtype=np.float64)
-    h_attr = ag.tensor(rng.normal(size=(4, 4)), dtype=np.float64)
-    h_time = ag.tensor(rng.normal(size=(4, 4)), dtype=np.float64)
-    z_a, z_t, _, _, _ = cell.gates(v, h_attr, h_time)
-    from talnet.ts_context import _rescale_gates
-    za2, zt2 = _rescale_gates(z_a, z_t)
-    assert np.all(za2.data + zt2.data <= 1 + 1e-12)
-    # untouched where the sum was already <= 1
-    mask = (z_a.data + z_t.data) <= 1
-    np.testing.assert_allclose(za2.data[mask], z_a.data[mask])
-
-
 # --- first_pass -----------------------------------------------------------
 
 
@@ -393,12 +378,3 @@ def test_whole_block_gradcheck_with_head_ce():
 
     report = grad_check(f, block.parameters(), max_coords_per_param=25)
     assert report.passed, report.summary()
-
-
-def test_second_pass_input_flag():
-    v_block = TemporalSemanticBlock(3, 4, 4, [2, 2], second_pass_input="initial")
-    v_block.initialize(3, dtype=np.float64)
-    rng = np.random.default_rng(21)
-    v = ag.tensor(rng.normal(size=(1, 2, 2, 3)), dtype=np.float64)
-    readout, _, _ = v_block(v)
-    assert np.all(np.isfinite(readout.data))
