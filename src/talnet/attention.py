@@ -135,8 +135,8 @@ class SpatialAttentionBlock(Module):
         each head continues on its own block of output channels.
         """
         conv1s = [head.conv1 for head in self.heads]
-        weight = ag.concat([c.weight.tensor for c in conv1s], axis=0)
-        bias = ag.concat([c.bias.tensor for c in conv1s], axis=0)
+        weight = ag.concat([c.weight for c in conv1s], axis=0)
+        bias = ag.concat([c.bias for c in conv1s], axis=0)
         hidden = ag.relu(ag.conv2d(t_p, weight, bias, pad=conv1s[0].pad))
         width = conv1s[0].weight.shape[0]
         return [head(hidden[:, n * width:(n + 1) * width])

@@ -5,8 +5,10 @@ arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
 softmax / mean / max over an axis, means over non-overlapping windows
 (`avg_pool`), and stride-1 conv2d. conv2d is row-lowered (MEC, Cho & Brand
 2017): width-only patch rows (H, B*Wo, kw*C), one GEMM per kernel row, and
-a width-only col2im for its input gradient. A backward that builds a fresh
-gradient array (relu, sum, mean, the conv2d input gradient) hands it over as
+a width-only col2im for its input gradient. The elementwise ops share two
+helpers, `_binary` and `_unary`, driven by tables of forward and gradient
+functions. A backward that builds a fresh gradient array (the unary ops, sum,
+mean, a slice's scatter buffer, the conv2d input gradient) hands it over as
 the first `.grad` instead of copying it into zeros (`_accum_fresh`). float32
 is the training dtype; building graphs in float64 is supported for gradient
 checking.
@@ -241,68 +243,51 @@ def _make(data, parents, backward_fn, op):
 
 # --- arithmetic ---------------------------------------------------------
 
-def add(a, b):
+# Forward and gradient functions of the elementwise ops, made once: a graph
+# node keeps its op's gradient functions alive, so lambdas made per call
+# would add function objects to every node.
+_BINARY = {
+    "add": (np.add, lambda g, x, y: g, lambda g, x, y: g),
+    "sub": (np.subtract, lambda g, x, y: g, lambda g, x, y: -g),
+    "mul": (np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x),
+    "div": (np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)),
+}
+
+
+def _binary(op, a, b):
+    """Broadcasting elementwise op; its gradient functions map (g, a, b)
+    arrays to the unreduced gradient of each operand."""
+    fwd, grad_a, grad_b = _BINARY[op]
     a, b = _as_tensor(a), _as_tensor(b, like=a)
     try:
-        out = a.data + b.data
+        out = fwd(a.data, b.data)
     except ValueError:
-        raise ShapeError("add", a.shape, b.shape) from None
+        raise ShapeError(op, a.shape, b.shape) from None
 
     def bwd(g):
+        # add and sub hand back g itself, so these are copied in, never adopted
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+            _accum(a, _unbroadcast(grad_a(g, a.data, b.data), a.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape))
 
-    return _make(out, (a, b), bwd, "add")
+    return _make(out, (a, b), bwd, op)
+
+
+def add(a, b):
+    return _binary("add", a, b)
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", a.shape, b.shape) from None
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), bwd, "sub")
+    return _binary("sub", a, b)
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul", a.shape, b.shape) from None
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out, (a, b), bwd, "mul")
+    return _binary("mul", a, b)
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape) from None
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out, (a, b), bwd, "div")
+    return _binary("div", a, b)
 
 
 def matmul(a, b):
@@ -402,74 +387,59 @@ def _slice(a, idx):
             full[idx] = g
         else:
             np.add.at(full, idx, g)
-        if a.grad is None:
-            a.grad = full  # the scatter buffer becomes the first gradient
-        else:
-            a.grad += full
+        _accum_fresh(a, full)
 
     return _make(out, (a,), bwd, "slice")
 
 
 # --- nonlinearities -----------------------------------------------------
 
-def sigmoid(a):
+# (forward, gradient) per op; each gradient maps (g, a, out) arrays to a
+# fresh array. relu's is a mask multiply, not np.where.
+_UNARY = {
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * y * (1.0 - y)),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
+    "exp": (np.exp, lambda g, x, y: g * y),
+    "log": (np.log, lambda g, x, y: g / x),
+    "square": (lambda x: x * x, lambda g, x, y: 2.0 * g * x),
+}
+
+
+def _unary(op, a):
+    """Elementwise op; the fresh gradient array is adopted, not copied."""
+    fwd, grad = _UNARY[op]
     a = _as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = fwd(a.data)
 
     def bwd(g):
-        _accum(a, g * out * (1.0 - out))
+        _accum_fresh(a, grad(g, a.data, out))
 
-    return _make(out, (a,), bwd, "sigmoid")
+    return _make(out, (a,), bwd, op)
+
+
+def sigmoid(a):
+    return _unary("sigmoid", a)
 
 
 def tanh(a):
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), bwd, "tanh")
+    return _unary("tanh", a)
 
 
 def relu(a):
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        _accum_fresh(a, g * (a.data > 0))  # a mask multiply, not np.where
-
-    return _make(out, (a,), bwd, "relu")
+    return _unary("relu", a)
 
 
 def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out)
-
-    return _make(out, (a,), bwd, "exp")
+    return _unary("exp", a)
 
 
 def log(a):
-    a = _as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _make(out, (a,), bwd, "log")
+    return _unary("log", a)
 
 
 def square(a):
-    a = _as_tensor(a)
-    out = a.data * a.data
-
-    def bwd(g):
-        _accum(a, 2.0 * g * a.data)
-
-    return _make(out, (a,), bwd, "square")
+    return _unary("square", a)
 
 
 # --- reductions ---------------------------------------------------------

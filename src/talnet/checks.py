@@ -15,7 +15,7 @@ from .appearance import AppearanceBranch
 from .attention import SpatialAttentionBlock
 from .backbone import ConvBackbone
 from .gradcheck import grad_check
-from .nn import Module
+from .nn import Module, Parameter
 from .ts_context import AttentionScorer, TSGRUCell, build_context, first_pass, second_pass
 
 
@@ -45,7 +45,7 @@ def check_spatial_attention(tol=1e-4, eps=1e-5, max_coords=60):
     # the region heads' final layers start at zero (strip-prior init); give
     # them random values so the check exercises the full path
     for head in block.heads:
-        head.fc2.weight.tensor.data[:] = rng.normal(
+        head.fc2.weight.data[:] = rng.normal(
             scale=0.3, size=head.fc2.weight.shape)
     fm = _rand(rng, (3, 6, 8, 4))
 
@@ -111,23 +111,21 @@ def check_appearance(tol=1e-4, eps=1e-5, max_coords=40):
 
 
 class _FeatModule(Module):
-    def __init__(self, rng, B, d):
-        from .nn import Parameter
+    def __init__(self, B, d):
         self.feats = Parameter((B, d))
 
 
 def check_triplet_loss(tol=1e-4, eps=1e-5):
-    probe = _FeatModule(None, 6, 4).initialize(14, dtype=np.float64)
+    probe = _FeatModule(6, 4).initialize(14, dtype=np.float64)
 
     def f():
-        return losses.triplet_batch_hard(probe.feats.tensor, I=3, V=2, margin=0.3)
+        return losses.triplet_batch_hard(probe.feats, I=3, V=2, margin=0.3)
 
     return grad_check(f, probe.parameters(), eps=eps, tol=tol)
 
 
 class _LogitModule(Module):
     def __init__(self, B, G):
-        from .nn import Parameter
         self.logits = Parameter((B, G))
 
 
@@ -136,7 +134,7 @@ def check_ce_loss(tol=1e-4, eps=1e-5):
     targets = np.array([0, 2, 1, 0, 2])
 
     def f():
-        return losses.ce_label_smooth(probe.logits.tensor, targets, epsilon=0.1)
+        return losses.ce_label_smooth(probe.logits, targets, epsilon=0.1)
 
     return grad_check(f, probe.parameters(), eps=eps, tol=tol)
 

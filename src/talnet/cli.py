@@ -71,18 +71,31 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _load_model(args, cfg, dataset):
+    """The run's model with `--checkpoint` loaded; a checkpoint saved under
+    another model config is a data error, even when every shape matches."""
+    from .config import config_dict
+    from .nn import config_hash, load_checkpoint
+    from .trainer import build_model
+
+    model = build_model(cfg.model, dataset, cfg.train.seed)
+    saved = load_checkpoint(args.checkpoint, model)["model_config_hash"]
+    expected = config_hash(config_dict(model.cfg))
+    if saved != expected:
+        raise ValueError(f"checkpoint {args.checkpoint} has model config hash {saved}, "
+                         f"but this run's model config hashes to {expected}")
+    return model
+
+
 def cmd_eval(args):
     from .data import train_test_split
-    from .nn import load_checkpoint
     from .retrieval import (embed_sequences, evaluate, metrics_report, query_gallery_split,
                             raw_pixel_record, write_embeddings)
-    from .trainer import build_model
 
     cfg = _load_run_config(args)
     dataset = _dataset(args, cfg)
     _, test_set = train_test_split(dataset, cfg.data.test_seqs_per_id)
-    model = build_model(cfg.model, dataset, cfg.train.seed)
-    load_checkpoint(args.checkpoint, model)
+    model = _load_model(args, cfg, dataset)
     records = embed_sequences(test_set.sequences, model, cfg.model.clip_len)
     queries, gallery = query_gallery_split(records)
     result = evaluate(queries, gallery, lambda_sim=cfg.train.lambda_sim,
@@ -137,14 +150,11 @@ def cmd_gradcheck(args):
 
 def cmd_dump_attention(args):
     from . import autograd as ag
-    from .data import split_clips, train_test_split
-    from .nn import load_checkpoint
-    from .trainer import build_model
+    from .data import split_clips
 
     cfg = _load_run_config(args)
     dataset = _dataset(args, cfg)
-    model = build_model(cfg.model, dataset, cfg.train.seed)
-    load_checkpoint(args.checkpoint, model)
+    model = _load_model(args, cfg, dataset)
     if not model.cfg.use_att:
         print("error: attribute branch is disabled in this config", file=sys.stderr)
         return EXIT_USAGE

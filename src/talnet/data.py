@@ -384,9 +384,12 @@ def load_dataset(directory):
             if len(fields) != 5:
                 raise ValueError(f"{manifest}:{lineno}: expected 5 fields")
             sid, ident, cam, count, rel = fields
-            frames = np.load(os.path.join(directory, rel))
+            path = os.path.join(directory, rel)
+            frames = np.load(path)
             if len(frames) != int(count):
                 raise ValueError(f"frame count mismatch for sequence {sid}")
+            if not np.isfinite(frames).all():
+                raise ValueError(f"{path}: non-finite frame values")
             sequences.append(VideoSequence(frames=frames, identity=int(ident), camera=int(cam),
                                            attribute_labels=labels[int(ident)], sequence_id=int(sid)))
     return VideoDataset(schema=schema, sequences=sequences)

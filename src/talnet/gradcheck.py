@@ -47,15 +47,15 @@ class GradCheckReport:
 def grad_check(f, params, eps=1e-5, tol=1e-4, max_coords_per_param=200, rng=None):
     """Compare autodiff gradients of scalar f() against central differences.
 
-    `params` are Parameters whose tensors must be float64 (the caller converts
-    the model with .astype(np.float64) first). Coordinates are subsampled at
+    `params` are Parameters, which must be float64 (the caller initializes
+    the model with `dtype=np.float64`). Coordinates are subsampled at
     `max_coords_per_param` per parameter.
     """
     rng = rng or np.random.default_rng(0)
     for p in params:
-        if p.tensor.data.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters, got {p.tensor.data.dtype} for {p.name}")
-        p.tensor.zero_grad()
+        if p.dtype != np.float64:
+            raise ValueError(f"grad_check requires float64 parameters, got {p.dtype} for {p.name}")
+        p.zero_grad()
 
     autograd.set_check_finite(True)
     try:
@@ -67,8 +67,8 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_coords_per_param=200, rng=None
     errors = []
     checked = 0
     for p in params:
-        flat = p.tensor.data.reshape(-1)
-        grad = (p.tensor.grad if p.tensor.grad is not None else np.zeros_like(p.tensor.data)).reshape(-1)
+        flat = p.data.reshape(-1)
+        grad = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
         n = flat.size
         if n <= max_coords_per_param:
             coords = np.arange(n)
@@ -85,7 +85,7 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_coords_per_param=200, rng=None
             analytic = grad[k]
             denom = max(abs(analytic), abs(numeric), 1.0)
             rel = abs(analytic - numeric) / denom
-            errors.append(CoordError(p.name, np.unravel_index(k, p.tensor.data.shape), analytic, numeric, rel))
+            errors.append(CoordError(p.name, np.unravel_index(k, p.shape), analytic, numeric, rel))
             checked += 1
 
     errors.sort(key=lambda c: -c.rel_err)

@@ -10,19 +10,22 @@ import zipfile
 
 import numpy as np
 
-from .autograd import Tensor, conv2d, matmul
+from .autograd import Tensor, conv2d, matmul, transpose
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-class Parameter:
-    """A named trainable tensor with a recorded init recipe."""
+class Parameter(Tensor):
+    """A named trainable leaf tensor with a recorded init recipe. Until
+    `initialize` draws its data it holds a read-only zero view of its shape,
+    which allocates nothing."""
+
+    __slots__ = ("init_spec", "name")
 
     def __init__(self, shape, init="uniform-fan-in", name=""):
-        self.shape = tuple(shape)
+        super().__init__(np.broadcast_to(np.float32(0), shape), requires_grad=True)
         self.init_spec = init
         self.name = name
-        self.tensor = None  # populated by Module.initialize
 
     def initialize(self, rng, dtype):
         if self.init_spec == "zeros":
@@ -38,15 +41,7 @@ class Parameter:
             data = rng.uniform(-bound, bound, size=self.shape).astype(dtype)
         else:
             raise ValueError(f"unknown init spec {self.init_spec!r}")
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
+        self.data, self.grad = data, None
 
 
 class Module:
@@ -84,13 +79,7 @@ class Module:
 
     def zero_grad(self):
         for p in self.parameters():
-            p.tensor.zero_grad()
-
-    def astype(self, dtype):
-        for p in self.parameters():
-            p.tensor.data = p.tensor.data.astype(dtype)
-            p.tensor.grad = None
-        return self
+            p.zero_grad()
 
 
 def _name_key(name):
@@ -103,7 +92,8 @@ class Linear(Module):
         self.bias = Parameter((out_dim,), init=bias_init)
 
     def __call__(self, x):
-        return matmul(x, _t(self.weight)) + self.bias.tensor
+        # W is stored (out, in); matmul wants (in, out) on the right
+        return matmul(x, transpose(self.weight, (1, 0))) + self.bias
 
 
 class Conv2d(Module):
@@ -113,14 +103,7 @@ class Conv2d(Module):
         self.pad = pad
 
     def __call__(self, x):
-        return conv2d(x, self.weight.tensor, self.bias.tensor, pad=self.pad)
-
-
-def _t(param):
-    # W stored (out,in); matmul wants (in,out) on the right
-    from .autograd import transpose
-
-    return transpose(param.tensor, (1, 0))
+        return conv2d(x, self.weight, self.bias, pad=self.pad)
 
 
 # --- checkpoints --------------------------------------------------------
@@ -175,7 +158,7 @@ def load_checkpoint(path, module):
                 raw = zf.read(f"params/{name}")
                 arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))
                 arr = arr.reshape(meta["shape"]).astype(meta["dtype"])
-                params[name].tensor = Tensor(arr.copy(), requires_grad=True)
+                params[name].data, params[name].grad = arr.copy(), None
     except (zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from None
     return header

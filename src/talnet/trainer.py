@@ -9,6 +9,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
+from . import autograd as ag
 from . import losses
 from .config import config_dict
 from .data import all_clips, pk_sample, random_erase, train_test_split
@@ -40,15 +41,15 @@ class SGD:
             return 1.0
         total = 0.0
         for p in self.params:
-            if p.tensor.grad is not None:
-                total += float((p.tensor.grad ** 2).sum())
+            if p.grad is not None:
+                total += float((p.grad ** 2).sum())
         norm = np.sqrt(total)
         return 1.0 if norm <= self.max_grad_norm else self.max_grad_norm / norm
 
     def step(self):
         scale = self._clip_scale()
         for p, v in zip(self.params, self.velocity):
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 continue
             g = g * scale
@@ -56,11 +57,11 @@ class SGD:
                 g = g + self.weight_decay * p.data
             v *= self.momentum
             v += g
-            p.tensor.data = p.data - self.lr * (g + self.momentum * v)
+            p.data = p.data - self.lr * (g + self.momentum * v)
 
     def zero_grad(self):
         for p in self.params:
-            p.tensor.zero_grad()
+            p.zero_grad()
 
 
 def build_model(model_cfg, dataset, seed):
@@ -117,8 +118,9 @@ class TripletSchedule:
     epoch-mean triplet loss at margin * I * V * heads. A healthy decline
     passes through that value, so only two consecutive pinned epochs with CE
     no better than at the warmup exit count as collapse: the trainer then
-    restores the parameters it saved at the exit, and warmup resumes with a
-    0.85x stricter exit bar.
+    restores the parameters it saved at the exit, and warmup restarts with a
+    0.85x stricter exit bar; its minimum and cap count from the restart.
+    A model without triplet heads never warms up.
     """
 
     def __init__(self, tc, n_heads):
@@ -126,8 +128,9 @@ class TripletSchedule:
         self.ramp_epochs = max(tc.triplet_ramp_epochs, 1)
         self.exit_frac = tc.warmup_exit_frac
         self.floor = tc.margin * tc.batch_identities * tc.clips_per_identity * n_heads
-        self.warming = tc.warmup_epochs > 0
-        self.warm_done = 0  # warmup epochs, never reset
+        # without triplet heads there is nothing to warm up for
+        self.warming = tc.warmup_epochs > 0 and n_heads > 0
+        self.warm_done = 0  # warmup epochs since the start or the last rollback
         self.tri_epochs = 0  # triplet epochs since the last warmup exit
         self.pinned_streak = 0
         self.ce_start = self.ce_exit = None
@@ -160,7 +163,7 @@ class TripletSchedule:
         if self.pinned_streak < 2:
             return None
         self.warming = True
-        self.pinned_streak = 0
+        self.warm_done = self.pinned_streak = 0
         self.exit_frac *= 0.85
         return "collapse_rollback"
 
@@ -176,7 +179,7 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     """Two-stage training: stage 1 fits backbone + appearance branch (skipped
     when the appearance branch is ablated), stage 2 optimizes everything
     jointly. Emits a per-step loss CSV and a final checkpoint; aborts on a
-    non-finite loss, keeping the last good checkpoint."""
+    non-finite loss or forward value, keeping the last good checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
     tc = train_cfg
     model = build_model(model_cfg, dataset, tc.seed)
@@ -187,7 +190,7 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     erase_rng = np.random.default_rng([tc.seed, 2])
     pool_rng = np.random.default_rng([tc.seed, 3])
     ckpt_path = os.path.join(out_dir, "checkpoint.zip")
-    cfg_hash = config_hash({"model": config_dict(model.cfg), "train": config_dict(tc)})
+    cfg_hash = config_hash(config_dict(model.cfg))
 
     if model.cfg.use_app and model.cfg.use_att:
         stages = [("appearance-only", tc.stage1_epochs), ("joint", tc.stage2_epochs)]
@@ -223,13 +226,18 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                     frames, ids, attrs = batch_arrays(batch)
                     id_targets = np.array([id_map[i] for i in ids])
                     opt.zero_grad()
-                    loss, parts = compute_loss(model, frames, id_targets, attrs,
-                                               tc, stage, pool_rng,
-                                               tri_weight=tri_weight)
-                    if not np.isfinite(parts["L"]):
+                    try:
+                        loss, parts = compute_loss(model, frames, id_targets, attrs,
+                                                   tc, stage, pool_rng,
+                                                   tri_weight=tri_weight)
+                    except ag.NonFiniteError as exc:
+                        bad = f"value in op '{exc.op}'"
+                    else:
+                        bad = None if np.isfinite(parts["L"]) else "loss"
+                    if bad:
                         save_checkpoint(ckpt_path, model, tc.seed, cfg_hash)
                         raise DivergenceError(
-                            f"non-finite loss at stage {stage} epoch {epoch}; "
+                            f"non-finite {bad} at stage {stage} epoch {epoch}; "
                             f"last checkpoint kept at {ckpt_path}")
                     loss.backward()
                     opt.step()
@@ -245,8 +253,7 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                     snapshot = {n: p.data.copy() for n, p in model.named_parameters()}
                 elif event == "collapse_rollback":
                     for name, p in model.named_parameters():
-                        p.tensor.data = snapshot[name].copy()
-                        p.tensor.grad = None
+                        p.data, p.grad = snapshot[name].copy(), None
                     recent = []
                 if event:
                     # the loss surface changes when the triplet starts or stops

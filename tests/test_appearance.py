@@ -67,7 +67,7 @@ def test_stripe_means_average_to_global_mean(rng):
 def test_gru_zero_weights_keeps_zero_state():
     cell = GRUCell(3, 4).initialize(0, dtype=np.float64)
     for p in cell.parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     seq = ag.tensor(np.random.default_rng(0).normal(size=(2, 5, 3)), dtype=np.float64)
     states = gru_encode(cell, seq)
     # candidate tanh(0) = 0 and h_0 = 0, so every state stays 0

@@ -79,7 +79,7 @@ def test_primitive_map_channels_64_and_zero_weights():
     fm = ag.tensor(np.random.default_rng(0).normal(size=(3, 10, 8, 4)).astype(np.float32))
     out = block.primitive_map(fm)
     assert out.shape == (3, 64, 8, 4)
-    block.primitive.weight.tensor.data[:] = 0.0
+    block.primitive.weight.data[:] = 0.0
     np.testing.assert_array_equal(block.primitive_map(fm).data, 0.0)
 
 
@@ -87,8 +87,8 @@ def test_primitive_map_identity_like_weights():
     block = _block(cf=64)
     w = np.zeros((64, 64, 1, 1), np.float32)
     w[np.arange(64), np.arange(64), 0, 0] = 1.0
-    block.primitive.weight.tensor.data[:] = w
-    block.primitive.bias.tensor.data[:] = 0.0
+    block.primitive.weight.data[:] = w
+    block.primitive.bias.data[:] = 0.0
     fm = ag.tensor(np.random.default_rng(1).normal(size=(2, 64, 8, 4)).astype(np.float32))
     np.testing.assert_allclose(block.primitive_map(fm).data, np.maximum(fm.data, 0.0))
 
@@ -229,7 +229,7 @@ def test_raw_affines_match_per_head_oracle():
     block = _block(dtype=np.float64, seed=4, n_attributes=3)
     rng = np.random.default_rng(44)
     for head in block.heads:
-        head.fc2.weight.tensor.data[:] = rng.normal(scale=0.3, size=head.fc2.weight.shape)
+        head.fc2.weight.data[:] = rng.normal(scale=0.3, size=head.fc2.weight.shape)
     fm = ag.tensor(rng.normal(size=(2, 6, 8, 4)), dtype=np.float64)
     t_p = block.primitive_map(fm)
     got = block.raw_affines(t_p)
@@ -257,7 +257,7 @@ def test_block_end_to_end_gradcheck():
     # whole region-head path
     rng = np.random.default_rng(66)
     for head in block.heads:
-        head.fc2.weight.tensor.data[:] = rng.normal(
+        head.fc2.weight.data[:] = rng.normal(
             scale=0.3, size=head.fc2.weight.shape)
     fm = ag.tensor(np.random.default_rng(6).normal(scale=0.5, size=(2, 6, 8, 4)),
                    dtype=np.float64)

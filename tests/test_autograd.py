@@ -210,8 +210,8 @@ def test_composed_graph_matches_finite_differences(seed):
     x = ag.tensor(rng.normal(size=(4, 6)), dtype=np.float64)
 
     def f():
-        h = ag.tanh(ag.matmul(x, probe.w1.tensor))
-        logits = ag.matmul(h, probe.w2.tensor) + probe.b.tensor
+        h = ag.tanh(ag.matmul(x, probe.w1))
+        logits = ag.matmul(h, probe.w2) + probe.b
         p = ag.softmax(logits, axis=1)
         return ag.tmean(ag.square(p - ag.tensor(0.3, dtype=np.float64)))
 
@@ -224,7 +224,7 @@ def test_gradcheck_report_worst_offenders():
     x = ag.tensor(np.random.default_rng(5).normal(size=(2, 6)), dtype=np.float64)
 
     def f():
-        return ag.tmean(ag.square(ag.matmul(x, probe.w1.tensor)))
+        return ag.tmean(ag.square(ag.matmul(x, probe.w1)))
 
     report = grad_check(f, probe.parameters(), eps=1e-5, tol=1e-4)
     assert report.passed
@@ -240,7 +240,7 @@ def test_gradcheck_flags_nonfinite():
     bad = Bad().initialize(0, dtype=np.float64)
 
     def f():
-        return ag.tsum(ag.log(bad.w.tensor * ag.tensor(0.0, dtype=np.float64)))
+        return ag.tsum(ag.log(bad.w * ag.tensor(0.0, dtype=np.float64)))
 
     with pytest.raises(ag.NonFiniteError) as exc:
         grad_check(f, bad.parameters())

@@ -18,8 +18,8 @@ def test_default_output_shape():
 
 def test_zero_input_zero_final_conv_gives_zero_map():
     bb = _backbone()
-    bb.blocks[-1].weight.tensor.data[:] = 0.0
-    bb.blocks[-1].bias.tensor.data[:] = 0.0
+    bb.blocks[-1].weight.data[:] = 0.0
+    bb.blocks[-1].bias.data[:] = 0.0
     out = bb(ag.tensor(np.zeros((2, 3, 32, 16), np.float32)))
     np.testing.assert_array_equal(out.data, 0.0)
 

@@ -4,6 +4,7 @@ import os
 import zipfile
 
 import numpy as np
+import pytest
 
 from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from talnet.data import load_dataset, train_test_split
@@ -149,20 +150,29 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: unreadable checkpoint {cut}")
 
 
+@pytest.mark.parametrize("poison, message", [
+    pytest.param("loss", "non-finite loss", id="loss"),
+    # a NaN pixel reaches the TS-GRU lattice, whose first cell raises
+    pytest.param("frame", "non-finite value in op 'first_pass step (a=0, t=0)'", id="frame"),
+])
 def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeypatch,
-                                                               capsys):
+                                                               capsys, poison, message):
     from talnet import autograd as ag
     from talnet import trainer
     from talnet.config import RunConfig, apply_overrides
     from talnet.data import load_dataset
     from talnet.nn import load_checkpoint
 
-    real, losses = trainer.compute_loss, []
+    real, calls = trainer.compute_loss, []
 
-    def nan_at_third_step(*args, **kwargs):
-        loss, parts = real(*args, **kwargs)
-        losses.append(parts["L"])
-        if len(losses) == 3:
+    def nan_at_third_step(model, frames, *args, **kwargs):
+        calls.append(len(calls))
+        third = len(calls) == 3
+        if third and poison == "frame":
+            frames = frames.copy()
+            frames[0, 0, 0, 0, 0] = np.nan
+        loss, parts = real(model, frames, *args, **kwargs)
+        if third and poison == "loss":
             return ag.tensor(np.asarray(np.nan)), dict(parts, L=float("nan"))
         return loss, parts
 
@@ -172,7 +182,7 @@ def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeyp
     capsys.readouterr()
     rc = main(["train", "--data-dir", data_dir, "--out", run_dir, "--quiet"] + TINY)
     assert rc == EXIT_NUMERIC
-    assert len(losses) == 3 and "non-finite loss" in capsys.readouterr().err
+    assert len(calls) == 3 and message in capsys.readouterr().err
     cfg = apply_overrides(RunConfig(), [item.split("=", 1) for item in TINY[1::2]])
     dataset = load_dataset(data_dir)
     model = trainer.build_model(cfg.model, dataset, cfg.train.seed)
@@ -196,3 +206,36 @@ def test_manifest_cut_mid_row_names_file_and_line(tmp_path, capsys):
     rc = main(["train", "--data-dir", data_dir, "--out", str(tmp_path / "run")] + TINY)
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == f"error: {manifest}:3: expected 5 fields\n"
+
+
+def test_non_finite_frame_names_file(tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
+    rel = open(os.path.join(data_dir, "manifest.tsv")).read().splitlines()[1].split("\t")[-1]
+    path = os.path.join(data_dir, rel)
+    frames = np.load(path)
+    frames[0, 0, 0, 0] = np.nan
+    np.save(path, frames)
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", data_dir, "--out", str(tmp_path / "run")] + TINY)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: non-finite frame values\n"
+    assert not os.path.exists(os.path.join(tmp_path, "run", "checkpoint.zip"))
+
+
+def test_checkpoint_of_another_model_config_is_data_error(tmp_path, capsys):
+    """`model.pooling` changes no parameter shape, so only the stored config
+    hash tells the checkpoint apart; eval and dump-attention refuse it."""
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--out", run_dir, "--quiet"] + TINY) == EXIT_OK
+    ckpt = os.path.join(run_dir, "checkpoint.zip")
+    for command in (["eval"], ["dump-attention", "--sequence", "0"]):
+        capsys.readouterr()
+        rc = main(command + ["--checkpoint", ckpt, "--out", str(tmp_path / "o")]
+                  + TINY + ["--set", "model.pooling=max"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} has model config hash ")
+        saved, expected = err.split("hash ")[1].split(",")[0], err.split()[-1]
+        assert len(saved) == len(expected) == 16 and saved != expected
+    assert not os.path.exists(tmp_path / "o" / "metrics.tsv")

@@ -6,15 +6,12 @@ import pytest
 from talnet import autograd as ag
 from talnet.checks import ALL_CHECKS
 from talnet.gradcheck import grad_check
-from talnet.nn import Linear
+from talnet.nn import Linear, Parameter
 
 
 def _param(values):
-    lin = Linear(1, 1)
-    lin.initialize(0, dtype=np.float64)
-    p = lin.weight
-    p.tensor = ag.tensor(np.asarray(values), requires_grad=True, dtype=np.float64)
-    p.name = "w"
+    p = Parameter(np.shape(values), name="w")
+    p.data = np.asarray(values, dtype=np.float64)
     return p
 
 
@@ -22,7 +19,7 @@ def test_correct_gradient_passes():
     p = _param([[2.0, -1.0, 0.5]])
 
     def f():
-        return ag.tsum(ag.square(p.tensor))
+        return ag.tsum(ag.square(p))
 
     report = grad_check(f, [p])
     assert report.passed
@@ -36,7 +33,7 @@ def test_wrong_gradient_detected():
 
     def f():
         calls["n"] += 1
-        out = ag.tsum(ag.square(p.tensor))
+        out = ag.tsum(ag.square(p))
         if calls["n"] > 1:
             # finite-difference passes see a slightly different function, so
             # the analytic gradient from call 1 must be flagged as wrong
@@ -65,7 +62,7 @@ def test_unused_parameter_zero_gradient_passes():
     unused.name = "unused"
 
     def f():
-        return ag.tsum(ag.square(used.tensor))
+        return ag.tsum(ag.square(used))
 
     report = grad_check(f, [used, unused])
     assert report.passed
@@ -75,7 +72,7 @@ def test_subsampling_limits_coordinates():
     p = _param(np.random.default_rng(0).normal(size=(1, 50)))
 
     def f():
-        return ag.tsum(ag.square(p.tensor))
+        return ag.tsum(ag.square(p))
 
     report = grad_check(f, [p], max_coords_per_param=10)
     assert report.checked == 10

@@ -9,16 +9,16 @@ from talnet import autograd as ag
 from talnet.gradcheck import grad_check
 from talnet.losses import (appearance_loss, attribute_loss, ce_label_smooth,
                            total_loss, triplet_batch_hard)
+from talnet.nn import Parameter
 
 # --- brute-force oracles -----------------------------------------------------
 
 
-class _Holder:
-    """A bare tensor in the parameter shape `grad_check` expects."""
-
-    def __init__(self, t):
-        self.tensor = t
-        self.name = "features"
+def _features(values):
+    """The features as the named float64 Parameter `grad_check` expects."""
+    f = Parameter(np.shape(values), name="features")
+    f.data = np.asarray(values, dtype=np.float64)
+    return f
 
 
 def _triplet_oracle(feats, I, V, margin, squared=True):
@@ -156,10 +156,9 @@ def test_triplet_translation_invariance(rng):
 
 def test_triplet_gradcheck():
     rng = np.random.default_rng(0)
-    f = ag.tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    f.data = f.data.astype(np.float64)
+    f = _features(rng.normal(size=(6, 3)).astype(np.float32))
 
-    report = grad_check(lambda: triplet_batch_hard(f, 3, 2, 0.5), [_Holder(f)])
+    report = grad_check(lambda: triplet_batch_hard(f, 3, 2, 0.5), [f])
     assert report.passed, report.summary()
 
 
@@ -332,7 +331,6 @@ def test_triplet_builds_one_node():
 
 def test_triplet_euclidean_gradcheck():
     rng = np.random.default_rng(7)
-    f = ag.tensor(rng.normal(size=(8, 3)), dtype=np.float64, requires_grad=True)
-    report = grad_check(lambda: triplet_batch_hard(f, 2, 4, 1.0, squared=False),
-                        [_Holder(f)])
+    f = _features(rng.normal(size=(8, 3)))
+    report = grad_check(lambda: triplet_batch_hard(f, 2, 4, 1.0, squared=False), [f])
     assert report.passed, report.summary()

@@ -107,10 +107,10 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     path = tmp_path / "ckpt.zip"
     save_checkpoint(path, Linear(2, 3).initialize(0), seed=0, config_hash="x")
     other = Linear(3, 2).initialize(1)  # same parameter names, other shapes
-    before = other.weight.tensor
+    before = other.weight.data
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path, other)
-    assert other.weight.tensor is before
+    assert other.weight.data is before
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -38,65 +38,59 @@ def _read_csv(path):
 # --- SGD -----------------------------------------------------------------------
 
 
-class _P:
-    def __init__(self, value):
-        self.tensor = ag.tensor(np.asarray(value), requires_grad=True,
-                                dtype=np.float64)
-
-    @property
-    def data(self):
-        return self.tensor.data
+def _param(value):
+    return ag.tensor(value, requires_grad=True, dtype=np.float64)
 
 
 def test_sgd_two_steps_hand_computed():
     # w0 = 1, g = 2 each step, lr = 0.1, mu = 0.5, no decay:
     # step1: v = 2,   w = 1 - 0.1*(2 + 1)   = 0.7
     # step2: v = 3,   w = 0.7 - 0.1*(2 + 1.5) = 0.35
-    p = _P([1.0])
+    p = _param([1.0])
     opt = SGD([p], lr=0.1, momentum=0.5)
     for expected in (0.7, 0.35):
-        p.tensor.grad = np.asarray([2.0])
+        p.grad = np.asarray([2.0])
         opt.step()
         assert p.data[0] == pytest.approx(expected)
 
 
 def test_sgd_weight_decay_adds_to_gradient():
-    p = _P([2.0])
+    p = _param([2.0])
     opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.5)
-    p.tensor.grad = np.asarray([0.0])
+    p.grad = np.asarray([0.0])
     opt.step()
     # g_eff = 0 + 0.5 * 2 = 1 -> w = 2 - 0.1 = 1.9
     assert p.data[0] == pytest.approx(1.9)
 
 
 def test_sgd_zero_lr_keeps_params():
-    p = _P([3.0])
+    p = _param([3.0])
     opt = SGD([p], lr=0.0, momentum=0.9, weight_decay=0.1)
     for _ in range(3):
-        p.tensor.grad = np.asarray([5.0])
+        p.grad = np.asarray([5.0])
         opt.step()
     assert p.data[0] == 3.0
 
 
 def test_sgd_skips_missing_grads():
-    p = _P([1.0])
+    p = _param([1.0])
     opt = SGD([p], lr=0.1)
     opt.step()  # grad is None
     assert p.data[0] == 1.0
 
 
 def test_sgd_clips_by_global_norm():
-    p = _P([0.0, 0.0])
+    p = _param([0.0, 0.0])
     opt = SGD([p], lr=1.0, momentum=0.0, max_grad_norm=1.0)
-    p.tensor.grad = np.asarray([3.0, 4.0])  # norm 5 -> scaled by 1/5
+    p.grad = np.asarray([3.0, 4.0])  # norm 5 -> scaled by 1/5
     opt.step()
     np.testing.assert_allclose(p.data, [-0.6, -0.8])
 
 
 def test_sgd_no_clip_under_cap():
-    p = _P([0.0])
+    p = _param([0.0])
     opt = SGD([p], lr=1.0, momentum=0.0, max_grad_norm=10.0)
-    p.tensor.grad = np.asarray([2.0])
+    p.grad = np.asarray([2.0])
     opt.step()
     assert p.data[0] == pytest.approx(-2.0)
 
@@ -246,7 +240,7 @@ def test_schedule_exits_warmup_on_ce_fraction():
     assert s.weight() == 0.0
     assert s.on_epoch_end(5.1, 0.0) is None  # past warmup_epochs, above 0.5 x 10
     assert s.on_epoch_end(5.0, 0.0) == "warmup_exit"
-    assert not s.warming and s.weight() == 1.0
+    assert not s.warming
 
 
 def test_schedule_hard_cap_is_three_warmups():
@@ -288,15 +282,26 @@ def test_schedule_rolls_back_after_two_pinned_epochs():
     assert s.on_epoch_end(2.0, 0.96 * floor) == "collapse_rollback"
     assert s.warming and s.weight() == 0.0
     assert s.exit_frac == pytest.approx(10.0 * 0.85)
-    # warmup_epochs is long done, so the next epoch under the bar exits again
+    # one warmup epoch again, and this one is under the bar
     assert s.on_epoch_end(2.0, 0.0) == "warmup_exit"
     assert s.exit_frac == pytest.approx(10.0 * 0.85)
 
+    # the re-warm counts its minimum and its 3x cap from the rollback
+    s = _schedule(warmup_epochs=2, warmup_exit_frac=0.1, triplet_ramp_epochs=1)
+    assert [s.on_epoch_end(10.0, 0.0) for _ in range(6)] == [None] * 5 + ["warmup_exit"]
+    assert [s.on_epoch_end(10.0, s.floor) for _ in range(2)] == [None, "collapse_rollback"]
+    assert s.on_epoch_end(0.8, 0.0) is None  # under the bar, but only 1 of 2 epochs
+    assert s.on_epoch_end(0.9, 0.0) is None  # above the stricter bar of 0.085 x 10
+    assert s.on_epoch_end(0.8, 0.0) == "warmup_exit"
+    assert [s.on_epoch_end(10.0, s.floor) for _ in range(2)] == [None, "collapse_rollback"]
+    assert [s.on_epoch_end(10.0, 0.0) for _ in range(6)] == [None] * 5 + ["warmup_exit"]
+
 
 def test_schedule_without_appearance_branch_never_rolls_back():
+    """No triplet heads: no warmup to exit, so no snapshot and no rollback."""
     s = _schedule(n_heads=0, warmup_epochs=1, warmup_exit_frac=10.0)
-    assert s.on_epoch_end(2.0, 0.0) == "warmup_exit"
-    assert [s.on_epoch_end(2.0, 0.0) for _ in range(3)] == [None] * 3
+    assert not s.warming
+    assert [s.on_epoch_end(0.0, 0.0) for _ in range(4)] == [None] * 4
 
 
 def test_single_stage_when_branch_ablated(tmp_path, small_dataset):

@@ -108,7 +108,7 @@ def _cell64(din, d, seed):
 def test_step_zero_weights_averages_predecessors():
     cell = _cell64(3, 4, 0)
     for p in cell.parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     h_attr = ag.tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), dtype=np.float64)
     h_time = ag.tensor(np.array([[5.0, 6.0, 7.0, 8.0]]), dtype=np.float64)
     v = ag.tensor(np.zeros((1, 3)), dtype=np.float64)
@@ -120,7 +120,7 @@ def test_step_zero_weights_averages_predecessors():
 def test_step_zero_everything_gives_zero():
     cell = _cell64(3, 4, 0)
     for p in cell.parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     z = ag.tensor(np.zeros((1, 4)), dtype=np.float64)
     v = ag.tensor(np.zeros((1, 3)), dtype=np.float64)
     np.testing.assert_array_equal(ts_gru_step(cell, v, z, z).data, 0.0)
@@ -342,7 +342,7 @@ def test_readout_last_frame_column(rng):
 def test_attribute_heads_zero_weights_uniform(rng):
     heads = AttributeHeads(5, [3, 4]).initialize(0, dtype=np.float64)
     for p in heads.parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     readout = ag.tensor(rng.normal(size=(2, 2, 5)), dtype=np.float64)
     logits = heads(readout)
     assert len(logits) == 2
