@@ -74,13 +74,12 @@ def cmd_train(args):
 def _load_model(args, cfg, dataset):
     """The run's model with `--checkpoint` loaded; a checkpoint saved under
     another model config is a data error, even when every shape matches."""
-    from .config import config_dict
-    from .nn import config_hash, load_checkpoint
-    from .trainer import build_model
+    from .nn import load_checkpoint
+    from .trainer import build_model, model_config_hash
 
     model = build_model(cfg.model, dataset, cfg.train.seed)
     saved = load_checkpoint(args.checkpoint, model)["model_config_hash"]
-    expected = config_hash(config_dict(model.cfg))
+    expected = model_config_hash(model)
     if saved != expected:
         raise ValueError(f"checkpoint {args.checkpoint} has model config hash {saved}, "
                          f"but this run's model config hashes to {expected}")

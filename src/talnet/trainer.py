@@ -168,6 +168,11 @@ class TripletSchedule:
         return "collapse_rollback"
 
 
+def model_config_hash(model):
+    """The hash a checkpoint stores and `talnet eval` compares on load."""
+    return config_hash(config_dict(model.cfg))
+
+
 def _stage_params(model, stage):
     if stage == "appearance-only":
         keep = ("backbone", "appearance")
@@ -190,7 +195,7 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     erase_rng = np.random.default_rng([tc.seed, 2])
     pool_rng = np.random.default_rng([tc.seed, 3])
     ckpt_path = os.path.join(out_dir, "checkpoint.zip")
-    cfg_hash = config_hash(config_dict(model.cfg))
+    cfg_hash = model_config_hash(model)
 
     if model.cfg.use_app and model.cfg.use_att:
         stages = [("appearance-only", tc.stage1_epochs), ("joint", tc.stage2_epochs)]

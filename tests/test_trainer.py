@@ -240,7 +240,7 @@ def test_schedule_exits_warmup_on_ce_fraction():
     assert s.weight() == 0.0
     assert s.on_epoch_end(5.1, 0.0) is None  # past warmup_epochs, above 0.5 x 10
     assert s.on_epoch_end(5.0, 0.0) == "warmup_exit"
-    assert not s.warming
+    assert not s.warming and s.weight() == 1.0
 
 
 def test_schedule_hard_cap_is_three_warmups():
