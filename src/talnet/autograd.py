@@ -5,18 +5,27 @@ arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
 softmax / mean / max over an axis, means over non-overlapping windows
 (`avg_pool`), and stride-1 conv2d. conv2d is row-lowered (MEC, Cho & Brand
 2017): width-only patch rows (H, B*Wo, kw*C), one GEMM per kernel row, and
-a width-only col2im for its input gradient. The elementwise ops share two
-helpers, `_binary` and `_unary`, driven by tables of forward and gradient
-functions. A backward that builds a fresh gradient array (the unary ops, sum,
-mean, a slice's scatter buffer, the conv2d input gradient) hands it over as
-the first `.grad` instead of copying it into zeros (`_accum_fresh`). float32
-is the training dtype; building graphs in float64 is supported for gradient
+a width-only col2im for its input gradient. conv2d runs on every usable
+core: `_run` hands its copies and GEMMs to the calling thread and a small
+thread pool, split only along axes that no sum crosses (batch entries, output
+rows, kernel rows), so each output is summed in the same order whatever the
+number of parts. The elementwise ops share two helpers, `_binary` and
+`_unary`, driven by tables of forward and gradient functions. A backward that
+builds a fresh gradient array (the unary ops, sum, mean, max, softmax, a
+slice's scatter buffer, the conv2d input gradient) hands it over as the first
+`.grad` instead of copying it into zeros (`_accum_fresh`). float32 is the
+training dtype; building graphs in float64 is supported for gradient
 checking.
 """
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import contextlib
+import functools
+import os
+import threading
 
 import numpy as np
 
@@ -480,7 +489,7 @@ def tmax(a, axis):
         idx = list(np.indices(out.shape))
         idx.insert(axis % a.data.ndim, arg)
         full[tuple(idx)] = g
-        _accum(a, full)
+        _accum_fresh(a, full)
 
     return _make(out, (a,), bwd, "max")
 
@@ -493,7 +502,7 @@ def softmax(a, axis):
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - dot))
+        _accum_fresh(a, out * (g - dot))
 
     return _make(out, (a,), bwd, "softmax")
 
@@ -538,15 +547,108 @@ def avg_pool(a, fh, fw):
     return _make(out, (a,), bwd, "mean")
 
 
-def _row_gemms(dst, blocks):
-    """dst[rows] = sum of lhs @ rhs over the (rows, lhs, rhs) row blocks, each
-    one GEMM over its flattened rows. The first block is the widest: it
-    writes with out=, the rows it misses start at zero and the others add."""
-    (rows, lhs, rhs), *rest = blocks
-    dst[:rows.start], dst[rows.stop:] = 0, 0
-    np.matmul(lhs.reshape(-1, lhs.shape[-1]), rhs, out=dst[rows].reshape(-1, dst.shape[-1]))
-    for rows, lhs, rhs in rest:
-        dst[rows] += (lhs.reshape(-1, lhs.shape[-1]) @ rhs).reshape(dst[rows].shape)
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# conv2d splits its work over this many threads: the caller and a pool of
+# _WORKERS - 1 helpers, made on the first call that has more than one part.
+# numpy releases the GIL inside its copies and GEMMs.
+_WORKERS = _usable_cores()
+# floats of patch rows and output that each part of a conv2d must have: on a
+# 2-core guest a split phase costs about 0.15 ms more than it saves below it
+_GRAIN = 1 << 18
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool():
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+# a forked child has none of its parent's helper threads
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run(tasks):
+    """Run the zero-argument callables `tasks`, which write disjoint outputs:
+    the calling thread and up to _WORKERS - 1 helpers take them in list order
+    until none is left. Returns once every task has finished and raises the
+    first error. A helper that wakes after the caller has taken the last task
+    finds nothing to do, and nobody waits for it."""
+    global _POOL
+    todo = collections.deque(tasks)  # popleft is atomic
+    count, helpers = len(todo), min(_WORKERS, len(todo)) - 1
+    if helpers <= 0:
+        for task in todo:
+            task()
+        return
+    finished, errors = threading.Semaphore(0), []
+
+    def drain():
+        while True:
+            try:
+                task = todo.popleft()
+            except IndexError:
+                return
+            try:
+                task()
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                finished.release()
+
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = concurrent.futures.ThreadPoolExecutor(_WORKERS - 1, "talnet-conv2d")
+    for _ in range(helpers):
+        _POOL.submit(drain)
+    drain()
+    for _ in range(count):
+        finished.acquire()
+    if errors:
+        raise errors[0]
+
+
+def _bounds(n, parts):
+    """(lo, hi) of `parts` near-equal contiguous pieces of range(n)."""
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def _cast_buffer(a, other):
+    """`a` itself, or an empty buffer of its shape in the dtype numpy would
+    compute a GEMM of `a` and `other` in, when that dtype is wider."""
+    dtype = np.result_type(a, other)
+    return a if dtype == a.dtype else np.empty(a.shape, dtype=dtype)
+
+
+def _row_gemms(dst, tmp, blocks, lo, hi):
+    """Rows [lo, hi) of dst = the sum of lhs @ rhs over the (start, lhs, rhs)
+    row blocks, where block rows lhs[r] land on dst[start + r]; all arrays are
+    2-D, and each GEMM covers the block's rows inside [lo, hi). The first
+    block is the widest: it is written, the rows it misses start at zero, and
+    the others are added. A product that is added, or whose dtype (tmp's,
+    the one numpy computes lhs @ rhs in) is not dst's, goes through the same
+    rows of the caller's scratch tmp."""
+    (start, lhs, rhs), *rest = blocks
+    a, b = max(lo, start), min(hi, start + len(lhs))
+    if a >= b:
+        a = b = lo
+    dst[lo:a], dst[b:hi] = 0, 0
+    if a < b and tmp.dtype == dst.dtype:
+        np.matmul(lhs[a - start:b - start], rhs, out=dst[a:b])
+    elif a < b:
+        np.matmul(lhs[a - start:b - start], rhs, out=tmp[a:b])
+        dst[a:b] = tmp[a:b]
+    for start, lhs, rhs in rest:
+        a, b = max(lo, start), min(hi, start + len(lhs))
+        if a < b:
+            np.matmul(lhs[a - start:b - start], rhs, out=tmp[a:b])
+            dst[a:b] += tmp[a:b]
 
 
 def conv2d(x, weight, bias=None, pad=0):
@@ -558,6 +660,22 @@ def conv2d(x, weight, bias=None, pad=0):
     GEMM over the block of output rows whose input rows lie in the map, so
     height padding is never multiplied. Each output sums the kernel rows in
     span order (the widest span, then ascending i), each over (kw, C).
+
+    The work is split into up to min(cores, B) parts, each with at least
+    `_GRAIN` floats of patch rows and output, run by `_run` along axes that
+    no sum crosses:
+    - batch entries: the padding, the patch-row copy, the transposes of the
+      output and of its gradient;
+    - contiguous runs of (row, batch entry) pairs: the forward and
+      patch-row-gradient GEMMs, each part going through the kernel rows in
+      the same order, and the col2im;
+    - kernel rows: the weight gradient, one whole GEMM each, as before.
+    The calling thread allocates every buffer and the parts write disjoint
+    slices of them. So each output is summed in the same order whatever the
+    part count, and is byte-identical as long as the BLAS rounds a GEMM's
+    rows alike when they are cut into row pieces. OpenBLAS does so for every
+    float32 shape of the model; some narrow float64 GEMMs differ in the last
+    bit (see the tests).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     B, C, H, W = x.shape
@@ -567,45 +685,96 @@ def conv2d(x, weight, bias=None, pad=0):
     Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError("conv2d", x.shape, weight.shape)
-    xp = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
-    xp[:, :, pad:pad + W] = x.data.transpose(2, 0, 3, 1)
+    dtype, BWo, kC = x.dtype, B * Wo, kw * C
+    parts = max(1, min(_WORKERS, B, (H * BWo * kC + Ho * BWo * Co) // _GRAIN))
+    batches = _bounds(B, parts)
+    xp = np.empty((H, B, W + 2 * pad, C), dtype=dtype)
     windows = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=2)  # (H, B, Wo, C, kw)
-    cw = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 3)).reshape(H, B * Wo, kw * C)
-    wrows = weight.data.transpose(2, 3, 1, 0).reshape(kh, kw * C, Co)
+    cw = np.empty((H, B, Wo, kw, C), dtype=dtype)
+    # GEMMs run in the wider of the two dtypes. Weights wider than x (SGD can
+    # promote them) would make numpy cast cw inside every part; the parts cast
+    # it once into a buffer of the caller's instead
+    cw_gemm = _cast_buffer(cw, weight.data)
+
+    def lower(b0, b1):
+        xp[:, b0:b1, :pad], xp[:, b0:b1, pad + W:] = 0, 0
+        xp[:, b0:b1, pad:pad + W] = x.data[b0:b1].transpose(2, 0, 3, 1)
+        cw[:, b0:b1] = windows[:, b0:b1].transpose(0, 1, 2, 4, 3)
+        if cw_gemm is not cw:
+            cw_gemm[:, b0:b1] = cw[:, b0:b1]
+
+    _run([functools.partial(lower, b0, b1) for b0, b1 in batches])
+    del xp, windows
+    cw, cw_gemm = cw.reshape(H * BWo, kC), cw_gemm.reshape(H * BWo, kC)
+    wrows = weight.data.transpose(2, 3, 1, 0).reshape(kh, kC, Co)
     # kernel row i serves output rows o = [lo, hi), which read input rows
     # s = [lo+i-pad, hi+i-pad); sorted widest first, then by i
     spans = []
     for i in range(kh):
         lo, hi = max(0, pad - i), min(Ho, H + pad - i)
         if lo < hi:
-            spans.append((lo - hi, i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)))
+            spans.append((lo - hi, i, slice(lo * BWo, hi * BWo),
+                          slice((lo + i - pad) * BWo, (hi + i - pad) * BWo)))
     spans.sort()
-    out = np.empty((Ho, B * Wo, Co), dtype=x.dtype)
-    _row_gemms(out, [(o, cw[s], wrows[i]) for _, i, o, s in spans])
-    # to NCHW in two copies: moving whole (Wo, Co) rows first beats one 4-axis transpose
-    out = np.ascontiguousarray(out.reshape(Ho, B, Wo, Co).transpose(1, 0, 2, 3))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if bias is not None:
-        out += bias.data.reshape(1, Co, 1, 1)
+    rows = np.empty((Ho * BWo, Co), dtype=dtype)
+    tmp = np.empty((Ho * BWo, Co), dtype=cw_gemm.dtype)
+    blocks = [(o.start, cw_gemm[s], wrows[i]) for _, i, o, s in spans]
+    _run([functools.partial(_row_gemms, rows, tmp, blocks, lo * Wo, hi * Wo)
+          for lo, hi in _bounds(Ho * B, parts)])
+    del tmp, cw_gemm, blocks
+    # to NCHW in two copies: moving whole (Wo, Co) rows first beats one
+    # 4-axis transpose
+    rows, nhwc = rows.reshape(Ho, B, Wo, Co), np.empty((B, Ho, Wo, Co), dtype=dtype)
+    _run([functools.partial(np.copyto, nhwc[b0:b1], rows[:, b0:b1].transpose(1, 0, 2, 3))
+          for b0, b1 in batches])
+    del rows
+    out = np.empty((B, Co, Ho, Wo), dtype=dtype)
+
+    def to_nchw(b0, b1):
+        out[b0:b1] = nhwc[b0:b1].transpose(0, 3, 1, 2)
+        if bias is not None:
+            out[b0:b1] += bias.data.reshape(1, Co, 1, 1)
+
+    _run([functools.partial(to_nchw, b0, b1) for b0, b1 in batches])
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
-        grows = np.ascontiguousarray(g.transpose(2, 0, 3, 1)).reshape(Ho, B * Wo, Co)
+        grows = np.empty((Ho, B, Wo, Co), dtype=g.dtype)
+        grows_gemm = _cast_buffer(grows, weight.data) if x.requires_grad else grows
+
+        def gather(b0, b1):
+            grows[:, b0:b1] = g[b0:b1].transpose(2, 0, 3, 1)
+            if grows_gemm is not grows:
+                grows_gemm[:, b0:b1] = grows[:, b0:b1]
+
+        _run([functools.partial(gather, b0, b1) for b0, b1 in batches])
+        grows, grows_gemm = grows.reshape(Ho * BWo, Co), grows_gemm.reshape(Ho * BWo, Co)
+        tasks = []
+        if x.requires_grad:
+            # width-only col2im: each of the kw slabs adds into the padded rows
+            dcw = np.empty((H * BWo, kC), dtype=dtype)
+            tmp = np.empty((H * BWo, kC), dtype=grows_gemm.dtype)
+            dx = np.empty((H, B, W + 2 * pad, C), dtype=dtype)
+            blocks = [(s.start, grows_gemm[o], wrows[i].T) for _, i, o, s in spans]
+            slabs, dx_rows = dcw.reshape(H * B, Wo, kw, C), dx.reshape(H * B, -1, C)
+
+            def input_grad(lo, hi):
+                _row_gemms(dcw, tmp, blocks, lo * Wo, hi * Wo)
+                dx_rows[lo:hi] = 0
+                for j in range(kw):
+                    dx_rows[lo:hi, j:j + Wo] += slabs[lo:hi, :, j]
+
+            tasks += [functools.partial(input_grad, lo, hi) for lo, hi in _bounds(H * B, parts)]
         if weight.requires_grad:
-            gw = np.zeros((kh, kw * C, Co), dtype=x.dtype)
-            for _, i, o, s in spans:
-                np.matmul(cw[s].reshape(-1, kw * C).T, grows[o].reshape(-1, Co), out=gw[i])
+            gw = np.zeros((kh, kC, Co), dtype=dtype)
+            tasks += [functools.partial(np.matmul, cw[s].T, grows[o], out=gw[i])
+                      for _, i, o, s in spans]
+        _run(tasks)
+        if weight.requires_grad:
             _accum(weight, gw.reshape(kh, kw, C, Co).transpose(3, 2, 0, 1))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # width-only col2im: each of the kw slabs adds into the padded rows
-            dcw = np.empty((H, B * Wo, kw * C), dtype=x.dtype)
-            _row_gemms(dcw, [(s, grows[o], wrows[i].T) for _, i, o, s in spans])
-            dcw = dcw.reshape(H, B, Wo, kw, C)
-            dx = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
-            for j in range(kw):
-                dx[:, :, j:j + Wo] += dcw[:, :, :, j]
             _accum_fresh(x, dx[:, :, pad:pad + W].transpose(1, 3, 0, 2))
 
     return _make(out, parents, bwd, "conv2d")

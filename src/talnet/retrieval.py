@@ -97,7 +97,9 @@ def evaluate(queries, gallery, lambda_sim=0.3, protocol="multi-shot", max_rank=2
     orders = np.argsort(dist, axis=1, kind="stable")
     g_ids = np.array([g.identity for g in gallery])
     g_cams = np.array([g.camera for g in gallery])
-    g_seq = np.array([g.sequence_id for g in gallery])
+    # ids ranked as the records' own objects: an object array makes no new ints
+    g_seq = np.empty(len(gallery), dtype=object)
+    g_seq[:] = [g.sequence_id for g in gallery]
     cmc_hits = np.zeros(max_rank)
     aps = []
     per_query = []

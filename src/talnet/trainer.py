@@ -35,19 +35,21 @@ class SGD:
         self.max_grad_norm = max_grad_norm
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def _clip_scale(self):
-        """Global-norm clipping factor; 1.0 when disabled or under the cap."""
-        if not self.max_grad_norm:
-            return 1.0
+    def step(self):
+        """One update. Raises FloatingPointError, before any parameter is
+        written, when the gradients' global squared sum is not finite; the
+        same sum gives the global-norm clipping factor."""
         total = 0.0
         for p in self.params:
             if p.grad is not None:
                 total += float((p.grad ** 2).sum())
-        norm = np.sqrt(total)
-        return 1.0 if norm <= self.max_grad_norm else self.max_grad_norm / norm
-
-    def step(self):
-        scale = self._clip_scale()
+        if not np.isfinite(total):
+            raise FloatingPointError("non-finite gradient")
+        scale = 1.0
+        if self.max_grad_norm:
+            norm = np.sqrt(total)
+            if norm > self.max_grad_norm:
+                scale = self.max_grad_norm / norm
         for p, v in zip(self.params, self.velocity):
             g = p.grad
             if g is None:
@@ -184,7 +186,8 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     """Two-stage training: stage 1 fits backbone + appearance branch (skipped
     when the appearance branch is ablated), stage 2 optimizes everything
     jointly. Emits a per-step loss CSV and a final checkpoint; aborts on a
-    non-finite loss or forward value, keeping the last good checkpoint."""
+    non-finite loss, forward value or gradient, keeping the last good
+    checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
     tc = train_cfg
     model = build_model(model_cfg, dataset, tc.seed)
@@ -239,13 +242,17 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
                         bad = f"value in op '{exc.op}'"
                     else:
                         bad = None if np.isfinite(parts["L"]) else "loss"
+                    if not bad:
+                        loss.backward()
+                        try:
+                            opt.step()
+                        except FloatingPointError:
+                            bad = "gradient"
                     if bad:
                         save_checkpoint(ckpt_path, model, tc.seed, cfg_hash)
                         raise DivergenceError(
                             f"non-finite {bad} at stage {stage} epoch {epoch}; "
                             f"last checkpoint kept at {ckpt_path}")
-                    loss.backward()
-                    opt.step()
                     row = [parts.get(k, 0.0) for k in ("L_tri", "L_ide", "L_att", "L")]
                     writer.writerow([stage, epoch, global_step] + [f"{v:.6f}" for v in row])
                     epoch_rows.append(row)

@@ -1,3 +1,7 @@
+import functools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +120,159 @@ def _check_conv2d_oracle(rng, C, Co, kh, kw, pad, size=(2, 6, 5)):
     np.testing.assert_allclose(x.grad, want_dx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(w.grad, want_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(b.grad, want_db, rtol=1e-12, atol=1e-12)
+
+
+def _serial_conv2d(x, w, b, pad, g):
+    """The serial row lowering, written out once in plain numpy: conv2d's
+    output and the gradients of sum(out * g). One GEMM per kernel row over
+    the whole batch; the widest span is assigned, every other product is made
+    fresh and added in span order; the weight gradient is one GEMM per
+    kernel row."""
+    B, C, H, W = x.shape
+    Co, _, kh, kw = w.shape
+    Ho, Wo, K = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1, kw * C
+    xp = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
+    xp[:, :, pad:pad + W] = x.transpose(2, 0, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=2)
+    cw = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 3)).reshape(H, B * Wo, K)
+    wrows = w.transpose(2, 3, 1, 0).reshape(kh, K, Co)
+    spans = sorted((lo - hi, i, slice(lo, hi), slice(lo + i - pad, hi + i - pad))
+                   for i in range(kh)
+                   for lo, hi in [(max(0, pad - i), min(Ho, H + pad - i))] if lo < hi)
+
+    def row_sums(n_rows, width, blocks):
+        dst = np.zeros((n_rows, B * Wo, width), dtype=x.dtype)
+        for k, (rows, lhs, rhs) in enumerate(blocks):
+            prod = (lhs.reshape(-1, lhs.shape[-1]) @ rhs).reshape(dst[rows].shape)
+            if k == 0:
+                dst[rows] = prod
+            else:
+                dst[rows] += prod
+        return dst
+
+    rows = row_sums(Ho, Co, [(o, cw[s], wrows[i]) for _, i, o, s in spans])
+    out = np.ascontiguousarray(rows.reshape(Ho, B, Wo, Co).transpose(1, 3, 0, 2))
+    out += b.reshape(1, Co, 1, 1)
+    grows = np.ascontiguousarray(g.transpose(2, 0, 3, 1)).reshape(Ho, B * Wo, Co)
+    gw = np.zeros((kh, K, Co), dtype=x.dtype)
+    for _, i, o, s in spans:
+        gw[i] = cw[s].reshape(-1, K).T @ grows[o].reshape(-1, Co)
+    dcw = row_sums(H, K, [(s, grows[o], wrows[i].T) for _, i, o, s in spans])
+    dx = np.zeros((H, B, W + 2 * pad, C), dtype=x.dtype)
+    for j in range(kw):
+        dx[:, :, j:j + Wo] += dcw.reshape(H, B, Wo, kw, C)[:, :, :, j]
+    return (out, dx[:, :, pad:pad + W].transpose(1, 3, 0, 2),
+            gw.reshape(kh, kw, C, Co).transpose(3, 2, 0, 1), g.sum(axis=(0, 2, 3)))
+
+
+# a batch of one, a batch smaller than three parts and an odd batch; the
+# shapes of the region heads, the first backbone conv and two odd kernels;
+# float32 weights, float64 weights on float32 activations, all float64
+@pytest.mark.parametrize("B", [1, 2, 5])
+@pytest.mark.parametrize("kernel,pad,channels,size", [
+    ((5, 5), 2, (6, 4), (8, 4)), ((3, 3), 1, (3, 16), (32, 16)),
+    ((1, 3), 0, (2, 3), (6, 5)), ((3, 5), 2, (4, 2), (3, 2)),
+])
+@pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float32),
+                                             (np.float32, np.float64),
+                                             (np.float64, np.float64)])
+def test_conv2d_bytes_match_the_serial_lowering_for_every_part_count(
+        monkeypatch, B, kernel, pad, channels, size, x_dtype, w_dtype):
+    (kh, kw), (C, Co), (H, W) = kernel, channels, size
+    rng = np.random.default_rng(B + kh)
+    x = rng.normal(size=(B, C, H, W)).astype(x_dtype)
+    w, b = rng.normal(size=(Co, C, kh, kw)).astype(w_dtype), rng.normal(size=Co).astype(w_dtype)
+    g = rng.normal(size=(B, Co, H + 2 * pad - kh + 1, W + 2 * pad - kw + 1)).astype(x_dtype)
+    want = _serial_conv2d(x, w, b, pad, g)
+    real_run, parts = ag._run, []
+
+    def counting_run(tasks):
+        parts.append(len(tasks))
+        real_run(tasks)
+
+    monkeypatch.setattr(ag, "_run", counting_run)
+    monkeypatch.setattr(ag, "_GRAIN", 1)  # split even these small maps
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        parts.clear()
+        xt, wt, bt = (ag.Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = ag.conv2d(xt, wt, bt, pad=pad)
+        out._backward(g)
+        assert parts[0] == min(workers, B)  # the first call lowers the batch
+        for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+            ref = np.asarray(ref, dtype=got.dtype)
+            if workers == 1 or x_dtype == np.float32:
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+            else:
+                # all-float64 convs serve gradient checks only; OpenBLAS's
+                # small dgemm kernels may round a narrow GEMM's rows otherwise
+                # once it is cut into row pieces (Co = 2 with kw*C = 20 here)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_error_in_a_helper_part_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(ag, "_WORKERS", 2)
+    helper_done = threading.Event()
+
+    def part(k):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_done.wait(10)
+        else:
+            helper_done.set()
+            raise ValueError(f"part {k} failed")
+
+    with pytest.raises(ValueError, match="failed"):
+        ag._run([functools.partial(part, k) for k in range(2)])
+    assert helper_done.is_set()  # the error came from a helper
+
+
+def test_run_takes_every_task_once_under_contention(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows,
+    # and three callers sharing one pool: a task taken twice or lost shows
+    monkeypatch.setattr(ag, "_WORKERS", 4)
+    counts = np.zeros((3, 500), dtype=int)
+
+    def bump(row, k):
+        counts[row, k] += 1
+
+    def caller(row):
+        for lo in range(0, 500, 50):
+            ag._run([functools.partial(bump, row, k) for k in range(lo, lo + 50)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(row,)) for row in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert (counts == 1).all()
+
+
+def test_conv2d_error_in_a_part_reaches_the_caller_and_the_pool_recovers(monkeypatch):
+    monkeypatch.setattr(ag, "_WORKERS", 3)
+    monkeypatch.setattr(ag, "_GRAIN", 1)
+    real = ag._row_gemms
+
+    def failing_after_first_part(dst, tmp, blocks, lo, hi):
+        if lo > 0:
+            raise RuntimeError("row block failed")
+        real(dst, tmp, blocks, lo, hi)
+
+    x = ag.tensor(np.random.default_rng(3).normal(size=(3, 2, 5, 4)))
+    w = ag.tensor(np.random.default_rng(4).normal(size=(2, 2, 3, 3)))
+    with monkeypatch.context() as mp:
+        mp.setattr(ag, "_row_gemms", failing_after_first_part)
+        with pytest.raises(RuntimeError, match="row block failed"):
+            ag.conv2d(x, w, pad=1)
+    monkeypatch.setattr(ag, "_WORKERS", 1)
+    serial = ag.conv2d(x, w, pad=1).data
+    monkeypatch.setattr(ag, "_WORKERS", 3)
+    assert ag.conv2d(x, w, pad=1).data.tobytes() == serial.tobytes()
 
 
 def _window_mean_chain(x, fh, fw):
@@ -362,6 +519,36 @@ def test_adopted_first_gradient_sums_every_consumer(order):
     np.testing.assert_array_equal(nodes["relu"].grad, 2 * g_relu)
     np.testing.assert_array_equal(nodes["add"].grad, g_relu)
     grads = [t.grad for t in (x, *nodes.values())]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("first", ["softmax", "max"])
+def test_softmax_and_max_adopt_their_fresh_gradient_without_aliasing(first):
+    # x feeds a softmax and a max; whichever backward runs first adopts its
+    # fresh array as x.grad and the other adds into it
+    rng = np.random.default_rng(22)
+    x = ag.tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
+    g_soft, g_max = rng.normal(size=(3, 4)), rng.normal(size=(3,))
+    nodes = {}
+
+    def term(name):
+        if name == "softmax":
+            s = nodes["softmax"] = ag.softmax(x, axis=1)
+            return ag.tsum(ag.mul(s, ag.tensor(g_soft, dtype=np.float64)))
+        m = nodes["max"] = ag.tmax(x, axis=1)
+        return ag.tsum(ag.mul(m, ag.tensor(g_max, dtype=np.float64)))
+
+    second = "max" if first == "softmax" else "softmax"
+    (term(first) + term(second)).backward()
+    s = nodes["softmax"].data
+    want = s * (g_soft - (g_soft * s).sum(axis=1, keepdims=True))
+    want[np.arange(3), x.data.argmax(axis=1)] += g_max
+    np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(nodes["softmax"].grad, g_soft)
+    np.testing.assert_array_equal(nodes["max"].grad, g_max)
+    grads = [x.grad, nodes["softmax"].grad, nodes["max"].grad]
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)

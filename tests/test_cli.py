@@ -194,6 +194,36 @@ def test_nan_loss_exits_numeric_and_leaves_loadable_checkpoint(tmp_path, monkeyp
                for a, b in zip(model.parameters(), fresh.parameters()))
 
 
+def test_inf_gradient_exits_numeric_and_keeps_finite_checkpoint(tmp_path, monkeypatch, capsys):
+    from talnet import trainer
+    from talnet.config import RunConfig, apply_overrides
+    from talnet.nn import load_checkpoint
+
+    real, calls = trainer.SGD.step, []
+
+    def inf_at_second_step(opt):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            next(p for p in opt.params if p.grad is not None).grad.flat[0] = np.inf
+        real(opt)
+
+    data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
+    monkeypatch.setattr(trainer.SGD, "step", inf_at_second_step)
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", data_dir, "--out", run_dir, "--quiet"] + TINY)
+    assert rc == EXIT_NUMERIC
+    assert len(calls) == 2 and "non-finite gradient" in capsys.readouterr().err
+    cfg = apply_overrides(RunConfig(), [item.split("=", 1) for item in TINY[1::2]])
+    dataset = load_dataset(data_dir)
+    model = trainer.build_model(cfg.model, dataset, cfg.train.seed)
+    load_checkpoint(os.path.join(run_dir, "checkpoint.zip"), model)
+    assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
+    fresh = trainer.build_model(cfg.model, dataset, cfg.train.seed)
+    assert any(not np.array_equal(a.data, b.data)  # the first step was taken
+               for a, b in zip(model.parameters(), fresh.parameters()))
+
+
 def test_manifest_cut_mid_row_names_file_and_line(tmp_path, capsys):
     data_dir = str(tmp_path / "data")
     assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK

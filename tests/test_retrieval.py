@@ -271,6 +271,24 @@ def test_ablated_branch_ranking_across_blocks(rng, app_dim, att_dim):
     assert res.mean_ap == pytest.approx(omap, abs=1e-12)
 
 
+def test_ranked_ids_are_the_records_own_objects(rng):
+    # ids above 256, so a fresh int is never the cached small-int object
+    queries = _records(rng, 6, 5, 3, 4, camera=0, sid0=1000)
+    gallery = _records(rng, 40, 5, 3, 4, sid0=5000)
+    res = evaluate(queries, gallery, lambda_sim=0.3)
+    dist = distance_matrix(queries, gallery, 0.3)
+    oc, omap = _rank_oracle(queries, gallery, 0.3, "multi-shot", 20)
+    np.testing.assert_allclose(res.cmc, oc, atol=1e-12)
+    assert res.mean_ap == pytest.approx(omap, abs=1e-12)
+    assert len(res.per_query) == len(queries)
+    for q, (qid, ranked, dists), row in zip(queries, res.per_query, dist):
+        assert qid is q.sequence_id
+        order = [j for j in np.argsort(row, kind="stable")
+                 if not (gallery[j].identity == q.identity and gallery[j].camera == q.camera)]
+        assert all(sid is gallery[j].sequence_id for sid, j in zip(ranked, order, strict=True))
+        assert dists == row[order].tolist()
+
+
 def test_empty_queries_and_empty_gallery(rng):
     queries = _records(rng, 3, 4, 2, 2, camera=0)
     gallery = _records(rng, 5, 4, 2, 2, camera=1, sid0=10)

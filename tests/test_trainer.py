@@ -95,6 +95,19 @@ def test_sgd_no_clip_under_cap():
     assert p.data[0] == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("max_grad_norm", [0.0, 1.0])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_sgd_refuses_non_finite_gradient_before_writing(max_grad_norm, bad):
+    p, q = _param([1.0, 2.0]), _param([3.0])
+    opt = SGD([p, q], lr=0.1, momentum=0.9, max_grad_norm=max_grad_norm)
+    p.grad, q.grad = np.asarray([0.5, 0.5]), np.asarray([bad])
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        opt.step()
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
+    np.testing.assert_array_equal(q.data, [3.0])
+    assert all(not v.any() for v in opt.velocity)
+
+
 # --- build / loop ----------------------------------------------------------------
 
 
@@ -102,6 +115,18 @@ def test_build_model_injects_dataset_dims(small_dataset):
     model = build_model(TINY_MODEL, small_dataset, seed=0)
     assert model.cfg.num_classes == 4
     assert model.cfg.category_counts == tuple(small_dataset.schema.category_counts)
+
+
+def test_conv2d_worker_count_changes_no_loss_or_parameter_byte(tmp_path, small_dataset,
+                                                               monkeypatch):
+    monkeypatch.setattr(ag, "_GRAIN", 1)  # split even the tiny model's convs
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        model, _, log = train(TINY_MODEL, TINY_TRAIN, small_dataset, tmp_path / f"w{workers}")
+        with open(log, "rb") as fh:
+            runs.append((fh.read(), [p.data.tobytes() for p in model.parameters()]))
+    assert runs[1] == runs[0]
 
 
 def test_same_seed_gives_identical_loss_csv(tmp_path, small_dataset):
