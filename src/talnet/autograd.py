@@ -13,9 +13,10 @@ number of parts. The elementwise ops share two helpers, `_binary` and
 `_unary`, driven by tables of forward and gradient functions. A backward that
 builds a fresh gradient array (the unary ops, sum, mean, max, softmax, a
 slice's scatter buffer, the conv2d input gradient) hands it over as the first
-`.grad` instead of copying it into zeros (`_accum_fresh`). float32 is the
-training dtype; building graphs in float64 is supported for gradient
-checking.
+`.grad` instead of copying it into zeros (`_accum_fresh`). A graph runs in
+the dtype its parameters were initialised in: float32 for training, float64
+for the gradient checks. conv2d refuses a weight or bias whose dtype is not
+its input's, so a stray promotion fails loudly instead of mixing dtypes.
 """
 
 from __future__ import annotations
@@ -403,10 +404,17 @@ def _slice(a, idx):
 
 # --- nonlinearities -----------------------------------------------------
 
+def _sigmoid(x):
+    # float32 exp(-x) overflows to inf for x < -88, and 1 / (1 + inf) is
+    # exactly the 0 wanted there, so the warning is silenced, not the value
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 # (forward, gradient) per op; each gradient maps (g, a, out) arrays to a
 # fresh array. relu's is a mask multiply, not np.where.
 _UNARY = {
-    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * y * (1.0 - y)),
+    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
     "exp": (np.exp, lambda g, x, y: g * y),
@@ -619,31 +627,19 @@ def _bounds(n, parts):
     return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-def _cast_buffer(a, other):
-    """`a` itself, or an empty buffer of its shape in the dtype numpy would
-    compute a GEMM of `a` and `other` in, when that dtype is wider."""
-    dtype = np.result_type(a, other)
-    return a if dtype == a.dtype else np.empty(a.shape, dtype=dtype)
-
-
 def _row_gemms(dst, tmp, blocks, lo, hi):
     """Rows [lo, hi) of dst = the sum of lhs @ rhs over the (start, lhs, rhs)
     row blocks, where block rows lhs[r] land on dst[start + r]; all arrays are
     2-D, and each GEMM covers the block's rows inside [lo, hi). The first
     block is the widest: it is written, the rows it misses start at zero, and
-    the others are added. A product that is added, or whose dtype (tmp's,
-    the one numpy computes lhs @ rhs in) is not dst's, goes through the same
-    rows of the caller's scratch tmp."""
+    the others are added, each product going through the same rows of the
+    caller's scratch tmp. Every array has dst's dtype."""
     (start, lhs, rhs), *rest = blocks
     a, b = max(lo, start), min(hi, start + len(lhs))
     if a >= b:
         a = b = lo
     dst[lo:a], dst[b:hi] = 0, 0
-    if a < b and tmp.dtype == dst.dtype:
-        np.matmul(lhs[a - start:b - start], rhs, out=dst[a:b])
-    elif a < b:
-        np.matmul(lhs[a - start:b - start], rhs, out=tmp[a:b])
-        dst[a:b] = tmp[a:b]
+    np.matmul(lhs[a - start:b - start], rhs, out=dst[a:b])
     for start, lhs, rhs in rest:
         a, b = max(lo, start), min(hi, start + len(lhs))
         if a < b:
@@ -675,7 +671,8 @@ def conv2d(x, weight, bias=None, pad=0):
     part count, and is byte-identical as long as the BLAS rounds a GEMM's
     rows alike when they are cut into row pieces. OpenBLAS does so for every
     float32 shape of the model; some narrow float64 GEMMs differ in the last
-    bit (see the tests).
+    bit (see the tests). weight and bias must have x's dtype (TypeError
+    otherwise), and every buffer and GEMM is in that dtype.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     B, C, H, W = x.shape
@@ -685,27 +682,24 @@ def conv2d(x, weight, bias=None, pad=0):
     Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError("conv2d", x.shape, weight.shape)
+    for name, p in (("weight", weight), ("bias", bias)):
+        if p is not None and p.dtype != x.dtype:
+            raise TypeError(f"conv2d: {name} dtype {p.dtype} differs from input dtype {x.dtype}")
     dtype, BWo, kC = x.dtype, B * Wo, kw * C
     parts = max(1, min(_WORKERS, B, (H * BWo * kC + Ho * BWo * Co) // _GRAIN))
     batches = _bounds(B, parts)
     xp = np.empty((H, B, W + 2 * pad, C), dtype=dtype)
     windows = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=2)  # (H, B, Wo, C, kw)
     cw = np.empty((H, B, Wo, kw, C), dtype=dtype)
-    # GEMMs run in the wider of the two dtypes. Weights wider than x (SGD can
-    # promote them) would make numpy cast cw inside every part; the parts cast
-    # it once into a buffer of the caller's instead
-    cw_gemm = _cast_buffer(cw, weight.data)
 
     def lower(b0, b1):
         xp[:, b0:b1, :pad], xp[:, b0:b1, pad + W:] = 0, 0
         xp[:, b0:b1, pad:pad + W] = x.data[b0:b1].transpose(2, 0, 3, 1)
         cw[:, b0:b1] = windows[:, b0:b1].transpose(0, 1, 2, 4, 3)
-        if cw_gemm is not cw:
-            cw_gemm[:, b0:b1] = cw[:, b0:b1]
 
     _run([functools.partial(lower, b0, b1) for b0, b1 in batches])
     del xp, windows
-    cw, cw_gemm = cw.reshape(H * BWo, kC), cw_gemm.reshape(H * BWo, kC)
+    cw = cw.reshape(H * BWo, kC)
     wrows = weight.data.transpose(2, 3, 1, 0).reshape(kh, kC, Co)
     # kernel row i serves output rows o = [lo, hi), which read input rows
     # s = [lo+i-pad, hi+i-pad); sorted widest first, then by i
@@ -717,11 +711,11 @@ def conv2d(x, weight, bias=None, pad=0):
                           slice((lo + i - pad) * BWo, (hi + i - pad) * BWo)))
     spans.sort()
     rows = np.empty((Ho * BWo, Co), dtype=dtype)
-    tmp = np.empty((Ho * BWo, Co), dtype=cw_gemm.dtype)
-    blocks = [(o.start, cw_gemm[s], wrows[i]) for _, i, o, s in spans]
+    tmp = np.empty((Ho * BWo, Co), dtype=dtype)
+    blocks = [(o.start, cw[s], wrows[i]) for _, i, o, s in spans]
     _run([functools.partial(_row_gemms, rows, tmp, blocks, lo * Wo, hi * Wo)
           for lo, hi in _bounds(Ho * B, parts)])
-    del tmp, cw_gemm, blocks
+    del tmp, blocks
     # to NCHW in two copies: moving whole (Wo, Co) rows first beats one
     # 4-axis transpose
     rows, nhwc = rows.reshape(Ho, B, Wo, Co), np.empty((B, Ho, Wo, Co), dtype=dtype)
@@ -739,23 +733,17 @@ def conv2d(x, weight, bias=None, pad=0):
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
-        grows = np.empty((Ho, B, Wo, Co), dtype=g.dtype)
-        grows_gemm = _cast_buffer(grows, weight.data) if x.requires_grad else grows
-
-        def gather(b0, b1):
-            grows[:, b0:b1] = g[b0:b1].transpose(2, 0, 3, 1)
-            if grows_gemm is not grows:
-                grows_gemm[:, b0:b1] = grows[:, b0:b1]
-
-        _run([functools.partial(gather, b0, b1) for b0, b1 in batches])
-        grows, grows_gemm = grows.reshape(Ho * BWo, Co), grows_gemm.reshape(Ho * BWo, Co)
+        grows = np.empty((Ho, B, Wo, Co), dtype=dtype)
+        _run([functools.partial(np.copyto, grows[:, b0:b1], g[b0:b1].transpose(2, 0, 3, 1))
+              for b0, b1 in batches])
+        grows = grows.reshape(Ho * BWo, Co)
         tasks = []
         if x.requires_grad:
             # width-only col2im: each of the kw slabs adds into the padded rows
             dcw = np.empty((H * BWo, kC), dtype=dtype)
-            tmp = np.empty((H * BWo, kC), dtype=grows_gemm.dtype)
+            tmp = np.empty((H * BWo, kC), dtype=dtype)
             dx = np.empty((H, B, W + 2 * pad, C), dtype=dtype)
-            blocks = [(s.start, grows_gemm[o], wrows[i].T) for _, i, o, s in spans]
+            blocks = [(s.start, grows[o], wrows[i].T) for _, i, o, s in spans]
             slabs, dx_rows = dcw.reshape(H * B, Wo, kw, C), dx.reshape(H * B, -1, C)
 
             def input_grad(lo, hi):

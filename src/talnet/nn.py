@@ -157,8 +157,8 @@ def load_checkpoint(path, module):
             for name, meta in header["params"].items():
                 raw = zf.read(f"params/{name}")
                 arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]).newbyteorder("<"))
-                arr = arr.reshape(meta["shape"]).astype(meta["dtype"])
-                params[name].data, params[name].grad = arr.copy(), None
+                arr = arr.reshape(meta["shape"]).astype(params[name].dtype)
+                params[name].data, params[name].grad = arr, None
     except (zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable checkpoint {os.fspath(path)}: {exc}") from None
     return header

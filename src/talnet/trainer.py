@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import os
 from dataclasses import astuple, replace
 
@@ -45,9 +46,10 @@ class SGD:
                 total += float((p.grad ** 2).sum())
         if not np.isfinite(total):
             raise FloatingPointError("non-finite gradient")
+        # a Python float: an np.float64 factor would promote float32 updates
         scale = 1.0
         if self.max_grad_norm:
-            norm = np.sqrt(total)
+            norm = math.sqrt(total)
             if norm > self.max_grad_norm:
                 scale = self.max_grad_norm / norm
         for p, v in zip(self.params, self.velocity):

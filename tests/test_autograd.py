@@ -1,6 +1,7 @@
 import functools
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,17 @@ from talnet.nn import Module, Parameter
 
 def test_sigmoid_at_zero():
     assert ag.sigmoid(ag.tensor(0.0)).item() == pytest.approx(0.5)
+
+
+def test_sigmoid_saturates_in_float32_without_warning():
+    x = ag.tensor([-100.0, 100.0], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ag.sigmoid(x)
+        ag.tsum(out).backward()
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, [0.0, 1.0])
+    assert np.all(np.isfinite(x.grad))
 
 
 def test_softmax_equal_logits():
@@ -167,14 +179,13 @@ def _serial_conv2d(x, w, b, pad, g):
 
 # a batch of one, a batch smaller than three parts and an odd batch; the
 # shapes of the region heads, the first backbone conv and two odd kernels;
-# float32 weights, float64 weights on float32 activations, all float64
+# all float32 and all float64
 @pytest.mark.parametrize("B", [1, 2, 5])
 @pytest.mark.parametrize("kernel,pad,channels,size", [
     ((5, 5), 2, (6, 4), (8, 4)), ((3, 3), 1, (3, 16), (32, 16)),
     ((1, 3), 0, (2, 3), (6, 5)), ((3, 5), 2, (4, 2), (3, 2)),
 ])
 @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float32, np.float32),
-                                             (np.float32, np.float64),
                                              (np.float64, np.float64)])
 def test_conv2d_bytes_match_the_serial_lowering_for_every_part_count(
         monkeypatch, B, kernel, pad, channels, size, x_dtype, w_dtype):
@@ -208,6 +219,19 @@ def test_conv2d_bytes_match_the_serial_lowering_for_every_part_count(
                 # small dgemm kernels may round a narrow GEMM's rows otherwise
                 # once it is cut into row pieces (Co = 2 with kw*C = 20 here)
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("wide", ["weight", "bias"])
+def test_conv2d_refuses_a_parameter_of_another_dtype(wide):
+    rng = np.random.default_rng(0)
+    x = ag.tensor(rng.normal(size=(1, 2, 4, 4)))
+    w, b = ag.tensor(rng.normal(size=(3, 2, 3, 3))), ag.tensor(np.zeros(3))
+    if wide == "weight":
+        w = ag.tensor(w.data, dtype=np.float64)
+    else:
+        b = ag.tensor(b.data, dtype=np.float64)
+    with pytest.raises(TypeError, match=f"{wide} dtype float64 .* input dtype float32"):
+        ag.conv2d(x, w, b, pad=1)
 
 
 def test_error_in_a_helper_part_reaches_the_caller(monkeypatch):

@@ -1,11 +1,17 @@
 """Parameter init, module discovery, and checkpoint round-trips."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from talnet import autograd as ag
+from talnet.config import ModelConfig, TrainConfig
+from talnet.data import default_schema, generate_synthetic
 from talnet.nn import (Conv2d, Linear, Module, Parameter, config_hash,
                        load_checkpoint, save_checkpoint)
+from talnet.trainer import train
 
 
 class _Net(Module):
@@ -93,6 +99,33 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(p1.data, p2.data)
 
 
+def test_checkpoint_loads_into_the_model_dtype(tmp_path):
+    wide = _Net().initialize(3, dtype=np.float64)
+    path = tmp_path / "ckpt.zip"
+    save_checkpoint(path, wide, seed=3, config_hash="abc123")
+    narrow = _Net().initialize(99)
+    load_checkpoint(path, narrow)
+    for (n1, p1), (n2, p2) in zip(sorted(wide.named_parameters()),
+                                  sorted(narrow.named_parameters())):
+        assert n1 == n2 and p2.data.dtype == np.float32
+        np.testing.assert_array_equal(p2.data, p1.data.astype(np.float32))
+
+
+def test_clipped_training_keeps_parameters_and_checkpoint_float32(tmp_path):
+    dataset = generate_synthetic(4, 4, 4, default_schema(), noise=0.02,
+                                 occlusion_prob=0.0, seed=5, frame_shape=(3, 16, 8))
+    model_cfg = ModelConfig(frame_height=16, frame_width=8, backbone_channels=(4, 8),
+                            clip_len=4, d_v=8, d=8, attention_hidden=8, d_g=8, d_p=8)
+    # a clip this small rescales every step's gradient
+    train_cfg = TrainConfig(lr=0.01, stage1_epochs=1, stage2_epochs=1, batch_identities=2,
+                            clips_per_identity=2, seed=0, max_grad_norm=1e-3)
+    model, ckpt, _ = train(model_cfg, train_cfg, dataset, tmp_path)
+    assert all(p.data.dtype == np.float32 for p in model.parameters())
+    with zipfile.ZipFile(ckpt) as zf:
+        header = json.loads(zf.read("header.json"))
+    assert {meta["dtype"] for meta in header["params"].values()} == {"float32"}
+
+
 def test_checkpoint_parameter_mismatch_rejected(tmp_path):
     net = _Net().initialize(0)
     path = tmp_path / "ckpt.zip"
@@ -114,8 +147,6 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    import zipfile
-
     path = tmp_path / "ckpt.zip"
     save_checkpoint(path, Linear(2, 2).initialize(0), seed=0, config_hash="x")
     real_writestr = zipfile.ZipFile.writestr
@@ -134,9 +165,6 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_checkpoint_version_check(tmp_path):
-    import json
-    import zipfile
-
     net = Linear(2, 2).initialize(0)
     path = tmp_path / "ckpt.zip"
     save_checkpoint(path, net, seed=0, config_hash="x")

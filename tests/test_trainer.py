@@ -38,8 +38,8 @@ def _read_csv(path):
 # --- SGD -----------------------------------------------------------------------
 
 
-def _param(value):
-    return ag.tensor(value, requires_grad=True, dtype=np.float64)
+def _param(value, dtype=np.float64):
+    return ag.tensor(value, requires_grad=True, dtype=dtype)
 
 
 def test_sgd_two_steps_hand_computed():
@@ -79,12 +79,15 @@ def test_sgd_skips_missing_grads():
     assert p.data[0] == 1.0
 
 
-def test_sgd_clips_by_global_norm():
-    p = _param([0.0, 0.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_clips_by_global_norm(dtype):
+    p = _param([0.0, 0.0], dtype)
     opt = SGD([p], lr=1.0, momentum=0.0, max_grad_norm=1.0)
-    p.grad = np.asarray([3.0, 4.0])  # norm 5 -> scaled by 1/5
+    p.grad = np.asarray([3.0, 4.0], dtype=dtype)  # norm 5 -> scaled by 1/5
     opt.step()
     np.testing.assert_allclose(p.data, [-0.6, -0.8])
+    # the clip factor must not promote a float32 parameter or its velocity
+    assert p.data.dtype == dtype and opt.velocity[0].dtype == dtype
 
 
 def test_sgd_no_clip_under_cap():
