@@ -28,6 +28,18 @@ def test_sigmoid_saturates_in_float32_without_warning():
     assert np.all(np.isfinite(x.grad))
 
 
+def test_sigmoid_saturates_in_float64_without_warning():
+    # float64 exp(-x) overflows for x < -709
+    x = ag.tensor([-1000.0, 1000.0], requires_grad=True, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ag.sigmoid(x)
+        ag.tsum(out).backward()
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out.data, [0.0, 1.0])
+    assert np.all(np.isfinite(x.grad))
+
+
 def test_softmax_equal_logits():
     out = ag.softmax(ag.tensor([2.0, 2.0, 2.0, 2.0]), axis=0)
     np.testing.assert_allclose(out.data, 0.25)
@@ -231,6 +243,20 @@ def test_conv2d_refuses_a_parameter_of_another_dtype(wide):
     else:
         b = ag.tensor(b.data, dtype=np.float64)
     with pytest.raises(TypeError, match=f"{wide} dtype float64 .* input dtype float32"):
+        ag.conv2d(x, w, b, pad=1)
+
+
+@pytest.mark.parametrize("narrow", ["weight", "bias"])
+def test_conv2d_refuses_a_parameter_narrower_than_its_input(narrow):
+    rng = np.random.default_rng(0)
+    x = ag.tensor(rng.normal(size=(1, 2, 4, 4)), dtype=np.float64)
+    w = ag.tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64)
+    b = ag.tensor(np.zeros(3), dtype=np.float64)
+    if narrow == "weight":
+        w = ag.tensor(w.data, dtype=np.float32)
+    else:
+        b = ag.tensor(b.data, dtype=np.float32)
+    with pytest.raises(TypeError, match=f"{narrow} dtype float32 .* input dtype float64"):
         ag.conv2d(x, w, b, pad=1)
 
 

@@ -111,6 +111,18 @@ def test_checkpoint_loads_into_the_model_dtype(tmp_path):
         np.testing.assert_array_equal(p2.data, p1.data.astype(np.float32))
 
 
+def test_float32_checkpoint_loads_exactly_into_a_float64_model(tmp_path):
+    narrow = _Net().initialize(3)
+    path = tmp_path / "ckpt.zip"
+    save_checkpoint(path, narrow, seed=3, config_hash="abc123")
+    wide = _Net().initialize(99, dtype=np.float64)
+    load_checkpoint(path, wide)
+    for (n1, p1), (n2, p2) in zip(sorted(narrow.named_parameters()),
+                                  sorted(wide.named_parameters())):
+        assert n1 == n2 and p2.data.dtype == np.float64
+        np.testing.assert_array_equal(p2.data, p1.data)
+
+
 def test_clipped_training_keeps_parameters_and_checkpoint_float32(tmp_path):
     dataset = generate_synthetic(4, 4, 4, default_schema(), noise=0.02,
                                  occlusion_prob=0.0, seed=5, frame_shape=(3, 16, 8))

@@ -393,25 +393,48 @@ def test_write_ablation_table(tmp_path):
     assert rows[1] == ["A", "0.9123", "0.7500"]
 
 
-@pytest.mark.parametrize("stage", ["appearance-only", "joint"])
-def test_backward_leaves_no_two_grads_sharing_memory(small_dataset, stage):
-    model = build_model(TINY_MODEL, small_dataset, seed=0)
-    clips = all_clips(small_dataset, TINY_MODEL.clip_len)
-    batch = [c for ident in small_dataset.identities[:2]
+def _tiny_batch_loss(model, dataset, stage):
+    """Forward and backward of one 2x2 PK batch; returns every graph node."""
+    clips = all_clips(dataset, TINY_MODEL.clip_len)
+    batch = [c for ident in dataset.identities[:2]
              for c in [c for c in clips if c.identity == ident][:2]]
     frames, ids, attrs = batch_arrays(batch)
-    id_map = {ident: k for k, ident in enumerate(small_dataset.identities)}
+    id_map = {ident: k for k, ident in enumerate(dataset.identities)}
     loss, _ = compute_loss(model, frames, np.array([id_map[i] for i in ids]), attrs,
                            TINY_TRAIN, stage, np.random.default_rng(0))
     loss.backward()
-    seen, stack, grads = set(), [loss], []
+    seen, stack, nodes = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            grads += [node.grad] if node.grad is not None else []
+            nodes.append(node)
             stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("stage", ["appearance-only", "joint"])
+def test_backward_leaves_no_two_grads_sharing_memory(small_dataset, stage):
+    model = build_model(TINY_MODEL, small_dataset, seed=0)
+    grads = [n.grad for n in _tiny_batch_loss(model, small_dataset, stage)
+             if n.grad is not None]
     assert len(grads) > 100
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("stage", ["appearance-only", "joint"])
+def test_graph_stays_float32_after_a_clipped_step(small_dataset, stage):
+    model = build_model(TINY_MODEL, small_dataset, seed=0)
+    params = trainer_mod._stage_params(model, stage)
+    opt = SGD(params, lr=0.01, max_grad_norm=1e-3)
+    _tiny_batch_loss(model, small_dataset, stage)
+    opt.step()  # the gradient norm is far above 1e-3, so this step clips
+    opt.zero_grad()
+    nodes = _tiny_batch_loss(model, small_dataset, stage)
+    assert len(nodes) > 100
+    for node in nodes:
+        assert node.data.dtype == np.float32, node._op
+        assert node.grad is None or node.grad.dtype == np.float32, node._op
+    assert all(v.dtype == np.float32 for v in opt.velocity)
