@@ -46,19 +46,6 @@ class AttentionRegion:
     normalized_bounds: tuple  # (top, left, bottom, right) in [0,1]
 
 
-def squash_raw(raw, H, W):
-    """Map an unconstrained 4-vector to in-bounds affine params.
-
-    s = sigma(raw_s); t_x = sigma(raw_t) * H * (1 - s_x) (and analogously for
-    t_y with W), which pins the region inside [0,H] x [0,W] for any raw value.
-    """
-    s_x = 1.0 / (1.0 + np.exp(-raw[0]))
-    s_y = 1.0 / (1.0 + np.exp(-raw[1]))
-    t_x = 1.0 / (1.0 + np.exp(-raw[2])) * H * (1.0 - s_x)
-    t_y = 1.0 / (1.0 + np.exp(-raw[3])) * W * (1.0 - s_y)
-    return AffineParams(s_x=float(s_x), s_y=float(s_y), t_x=float(t_x), t_y=float(t_y))
-
-
 def region_vertices(p, H, W):
     """Affine images of the four frame corners (x down the height axis)."""
     corners = [(0, 0), (H, 0), (0, W), (H, W)]
@@ -113,17 +100,20 @@ class SpatialAttentionBlock(Module):
     Regions are predicted in frame coordinates (H, W) per Eq. of the affine
     corner map, then converted to normalized bounds and pooled on the
     primitive feature map, which reconciles frame-space vertices with
-    feature-space cropping.
+    feature-space cropping. Built with use_attention=False (the
+    spatial-attention ablation) it has no region heads, and every attribute
+    sees the full-frame global mean.
     """
 
-    def __init__(self, in_channels, n_attributes, d_v, frame_hw, fm_hw):
+    def __init__(self, in_channels, n_attributes, d_v, frame_hw, use_attention=True):
         self.primitive = Conv2d(in_channels, 64, 1)
-        self.heads = [AttributeRegionHead(64) for _ in range(n_attributes)]
-        self.offsets = [strip_prior(n, n_attributes) for n in range(n_attributes)]
         self.project = Linear(64, d_v)
         self.frame_hw = frame_hw
-        self.fm_hw = fm_hw
         self.n_attributes = n_attributes
+        self.use_attention = use_attention
+        if use_attention:
+            self.heads = [AttributeRegionHead(64) for _ in range(n_attributes)]
+            self.offsets = [strip_prior(n, n_attributes) for n in range(n_attributes)]
 
     def primitive_map(self, fm):
         return ag.relu(self.primitive(fm))
@@ -144,7 +134,12 @@ class SpatialAttentionBlock(Module):
                 for n, (head, offset) in enumerate(zip(self.heads, self.offsets))]
 
     def affine_tensors(self, raw):
-        """Squashed (s_x, s_y, t_x, t_y) tensors, each (B,)."""
+        """Squashed (s_x, s_y, t_x, t_y) tensors, each (B,).
+
+        s = sigma(raw_s); t_x = sigma(raw_t) * H * (1 - s_x) (and analogously
+        for t_y with W), which pins the region inside [0,H] x [0,W] for any
+        raw value.
+        """
         H, W = self.frame_hw
         s_x = ag.sigmoid(raw[:, 0])
         s_y = ag.sigmoid(raw[:, 1])
@@ -176,35 +171,18 @@ class SpatialAttentionBlock(Module):
         x = ag.matmul(x.reshape((B, C, Hm)), wr.reshape((B, Hm, 1)))
         return self.project(x.reshape((B, C)) / float(Hm * Wm))
 
-    def __call__(self, fm, use_attention=True):
-        """fm: (B, Cf, Hm, Wm) per-frame maps -> (B, N, d_v) initial features.
-
-        With use_attention=False every attribute sees the full-frame global
-        mean (spatial-attention ablation).
-        """
+    def __call__(self, fm):
+        """fm: (B, Cf, Hm, Wm) per-frame maps -> ((B, N, d_v) initial
+        features, regions): per attribute the squashed (s_x, s_y, t_x, t_y)
+        tensors its feature was pooled from; no regions without attention."""
         t_p = self.primitive_map(fm)
-        if not use_attention:
+        if not self.use_attention:
             feats = [self.project(ag.tmean(ag.tmean(t_p, axis=3), axis=2))
                      for _ in range(self.n_attributes)]
             return ag.stack(feats, axis=1), []
-        raws = self.raw_affines(t_p)
-        feats = [self.region_feature(t_p, *self.affine_tensors(raw)) for raw in raws]
-        return ag.stack(feats, axis=1), raws  # (B, N, d_v)
-
-    def describe_regions(self, fm):
-        """Per-attribute squashed affine params and regions (numpy, no grad)."""
-        with ag.no_grad():
-            raws = self.raw_affines(self.primitive_map(fm))
-        H, W = self.frame_hw
-        out = []
-        for raw in raws:
-            raw = raw.data
-            regions = []
-            for b in range(raw.shape[0]):
-                p = squash_raw(raw[b], H, W)
-                regions.append((p, region_vertices(p, H, W)))
-            out.append(regions)
-        return out
+        regions = [self.affine_tensors(raw) for raw in self.raw_affines(t_p)]
+        feats = [self.region_feature(t_p, *region) for region in regions]
+        return ag.stack(feats, axis=1), regions  # (B, N, d_v)
 
 
 def tent_weights(start, extent, n, like):

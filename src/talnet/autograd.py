@@ -50,7 +50,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "relu",
-    "exp",
     "log",
     "square",
     "softmax",
@@ -302,17 +301,11 @@ def div(a, b):
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b, like=a)
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
     out = a.data @ b.data
 
     def bwd(g):
-        if b.data.ndim == 1:
-            if a.requires_grad:
-                _accum(a, np.outer(g, b.data) if a.data.ndim == 2 else g * b.data)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g if a.data.ndim == 2 else a.data * g)
-            return
         if a.requires_grad:
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
@@ -417,7 +410,6 @@ _UNARY = {
     "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
-    "exp": (np.exp, lambda g, x, y: g * y),
     "log": (np.log, lambda g, x, y: g / x),
     "square": (lambda x: x * x, lambda g, x, y: 2.0 * g * x),
 }
@@ -445,10 +437,6 @@ def tanh(a):
 
 def relu(a):
     return _unary("relu", a)
-
-
-def exp(a):
-    return _unary("exp", a)
 
 
 def log(a):

@@ -1,8 +1,7 @@
 """Shared low-level feature extractor feeding both branches.
 
 A small conv stack (3x3 conv + ReLU + 2x2 mean-pool per block) stands in for
-a large pretrained base network; precomputed feature maps can be fed to the
-branches directly via `TALNet.forward_feature_maps` for offline swaps.
+a large pretrained base network.
 """
 
 from __future__ import annotations

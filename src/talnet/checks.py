@@ -39,8 +39,7 @@ def check_backbone(tol=1e-4, eps=1e-5, max_coords=40):
 def check_spatial_attention(tol=1e-4, eps=1e-5, max_coords=60):
     """End to end through the region heads and the tent-weighted region pooling."""
     rng = np.random.default_rng(10)
-    block = SpatialAttentionBlock(in_channels=6, n_attributes=2, d_v=5,
-                                  frame_hw=(32, 16), fm_hw=(8, 4))
+    block = SpatialAttentionBlock(in_channels=6, n_attributes=2, d_v=5, frame_hw=(32, 16))
     block.initialize(10, dtype=np.float64)
     # the region heads' final layers start at zero (strip-prior init); give
     # them random values so the check exercises the full path
@@ -70,7 +69,7 @@ def check_ts_gru_lattice(tol=1e-4, eps=1e-5, max_coords=60, N=3, T=4, d=8):
 
 
 class _SecondPassProbe(Module):
-    def __init__(self, N, T, d, din):
+    def __init__(self, d, din):
         self.cell1 = TSGRUCell(din, d)
         self.cell2 = TSGRUCell(d, d)
         self.scorer = AttentionScorer(d, d)
@@ -79,7 +78,7 @@ class _SecondPassProbe(Module):
 def check_second_pass(tol=1e-4, eps=1e-5, max_coords=40, N=3, T=4, d=8):
     """Second TS-GRU with attention weights flowing from the context memory."""
     rng = np.random.default_rng(12)
-    probe = _SecondPassProbe(N, T, d, 6).initialize(12, dtype=np.float64)
+    probe = _SecondPassProbe(d, 6).initialize(12, dtype=np.float64)
     v = _rand(rng, (2, N, T, 6))
 
     def f():

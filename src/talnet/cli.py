@@ -149,31 +149,30 @@ def cmd_gradcheck(args):
 
 def cmd_dump_attention(args):
     from . import autograd as ag
+    from .attention import AffineParams, region_vertices
     from .data import split_clips
 
     cfg = _load_run_config(args)
     dataset = _dataset(args, cfg)
     model = _load_model(args, cfg, dataset)
-    if not model.cfg.use_att:
-        print("error: attribute branch is disabled in this config", file=sys.stderr)
-        return EXIT_USAGE
+    for enabled, branch in ((model.cfg.use_att, "attribute branch"),
+                            (model.cfg.use_spatial_attention, "spatial attention")):
+        if not enabled:
+            print(f"error: {branch} is disabled in this config", file=sys.stderr)
+            return EXIT_USAGE
     seq = next((s for s in dataset.sequences if s.sequence_id == args.sequence), None)
     if seq is None:
         print(f"error: sequence {args.sequence} not found", file=sys.stderr)
         return EXIT_DATA
     clip = split_clips(seq, model.cfg.clip_len)[0]
-    frames = clip.frames[None]  # single-clip batch
-    with ag.no_grad():
-        fm = model.extract_feature_maps(frames)
-        out = model.forward_feature_maps(fm, rng=np.random.default_rng(0))
+    with ag.no_grad():  # a single-clip batch, so region row t is frame t
+        out = model.forward_clips(clip.frames[None], rng=np.random.default_rng(0))
+    H, W = model.attention.frame_hw
     lines = ["attribute\tframe\ttop\tleft\tbottom\tright"]
-    flat = fm.reshape((fm.shape[0] * fm.shape[1],) + tuple(fm.shape[2:]))
-    regions = model.attention.describe_regions(flat)
-    names = [f"attr{n}" for n in range(model.cfg.n_attributes)]
-    for n, per_frame in enumerate(regions):
-        for t, (_, region) in enumerate(per_frame):
-            top, left, bottom, right = region.normalized_bounds
-            lines.append(f"{names[n]}\t{t}\t{top:.4f}\t{left:.4f}\t{bottom:.4f}\t{right:.4f}")
+    for name, region in zip(dataset.schema.names, out["regions"]):
+        for t, params in enumerate(zip(*(v.data.tolist() for v in region))):
+            bounds = region_vertices(AffineParams(*params), H, W).normalized_bounds
+            lines.append("\t".join([name, str(t)] + [f"{x:.4f}" for x in bounds]))
     outdir = _out_dir(args)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "regions.tsv"), "w") as fh:

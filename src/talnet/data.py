@@ -139,7 +139,7 @@ CAMERA_GAINS = {
 def generate_synthetic(num_identities, seqs_per_identity, frames_per_seq, schema,
                        noise=0.05, occlusion_prob=0.3, seed=0,
                        frame_shape=DEFAULT_FRAME_SHAPE, color_pool=None,
-                       combo_pool=None, brightness_jitter=0.15, num_cameras=2):
+                       combo_pool=None, brightness_jitter=0.15):
     """Deterministic synthetic video-person dataset.
 
     Identities draw base colors from a pool of `color_pool` colors and
@@ -183,8 +183,8 @@ def generate_synthetic(num_identities, seqs_per_identity, frames_per_seq, schema
         color = base_colors[i % color_pool] + rng.uniform(-0.03, 0.03, size=3).astype(np.float32)
         labels = combos[i % len(combos)]
         for s in range(seqs_per_identity):
-            camera = s % num_cameras
-            gain = CAMERA_GAINS.get(camera, CAMERA_GAINS[0])
+            camera = s % len(CAMERA_GAINS)
+            gain = CAMERA_GAINS[camera]
             background = rng.uniform(0.0, 1.0, size=3).astype(np.float32)
             illumination = rng.uniform(0.7, 1.3)
             frames = np.empty((frames_per_seq, C, H, W), dtype=np.float32)

@@ -8,11 +8,10 @@ import numpy as np
 from . import autograd as ag
 
 
-def triplet_batch_hard(features, I, V, margin, squared=True):
+def triplet_batch_hard(features, I, V, margin):
     """Hinge over (margin + hardest positive - hardest negative), summed over
     all I*V anchors, as one autograd node. Rows must be grouped by identity in
-    V-sized blocks. Distance is squared Euclidean by default, Euclidean
-    (sqrt(d + 1e-12)) with squared=False.
+    V-sized blocks. Distance is squared Euclidean.
 
     The hardest pairs are row-wise masked max / min (Hermans et al. 2017);
     ties break at the lowest index. Each distance is one (1 x d)(d x 1)
@@ -30,8 +29,6 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
     d = x.shape[1]
     diff = x[:, None, :] - x[None, :, :]
     dist = (diff.reshape(B, B, 1, d) @ diff.reshape(B, B, d, 1)).reshape(B, B)
-    if not squared:
-        dist = np.sqrt(dist + 1e-12)
     labels = np.repeat(np.arange(I), V)
     same = labels[:, None] == labels[None, :]
     rows = np.arange(B)
@@ -45,8 +42,6 @@ def triplet_batch_hard(features, I, V, margin, squared=True):
         gd = np.zeros_like(dist)
         gd[rows, pos] = w
         gd[rows, neg] = -w
-        if not squared:
-            gd *= 0.5 / dist
         # both sides of each pair, as the per-pair graph's matmul and sub
         # nodes accumulated them, so the gradient bytes are unchanged
         gdiff = (gd + gd)[:, :, None] * diff

@@ -9,7 +9,7 @@ from .appearance import AppearanceBranch
 from .attention import SpatialAttentionBlock
 from .backbone import ConvBackbone
 from .nn import Module
-from .ts_context import TemporalSemanticBlock
+from .ts_context import AttributeHeads, TemporalSemanticBlock
 
 
 class TALNet(Module):
@@ -26,55 +26,46 @@ class TALNet(Module):
         if cfg.use_att:
             self.attention = SpatialAttentionBlock(
                 cf, cfg.n_attributes, cfg.d_v,
-                frame_hw=(cfg.frame_height, cfg.frame_width), fm_hw=(hm, wm))
+                frame_hw=(cfg.frame_height, cfg.frame_width),
+                use_attention=cfg.use_spatial_attention)
             if cfg.use_ts_context:
                 self.ts_block = TemporalSemanticBlock(
                     cfg.d_v, cfg.d, cfg.attention_hidden, cfg.category_counts,
                     use_context_memory=cfg.use_context_memory)
             else:
                 # temporal mean of the initial features, classified directly
-                from .ts_context import AttributeHeads
                 self.attr_heads_direct = AttributeHeads(cfg.d_v, cfg.category_counts)
         if cfg.use_app:
             self.appearance = AppearanceBranch(
                 cf, cfg.d_g, cfg.d_p, cfg.n_stripes, cfg.num_classes,
                 use_gru=cfg.use_gru, pooling=cfg.pooling)
 
-    def extract_feature_maps(self, frames):
-        """frames: (B, T, C, H, W) ndarray or Tensor -> (B, T, Cf, Hm, Wm)."""
-        if not isinstance(frames, ag.Tensor):
-            frames = ag.Tensor(np.ascontiguousarray(frames))
-        B, T, C, H, W = frames.shape
-        fm = self.backbone(frames.reshape((B * T, C, H, W)))
-        _, cf, hm, wm = fm.shape
-        return fm.reshape((B, T, cf, hm, wm))
-
-    def forward_clips(self, frames, rng=None, app=True, att=True):
+    def forward_clips(self, frames, rng=None, att=True):
         """Full forward pass on a batch of clips.
 
-        Returns a dict with whatever the enabled branches produce:
-        f_app (B, d_g + H*d_p), app_logits (list of (B, G)),
-        f_att (B, N*d), attr_logits (list of (B, m_n)), attention scores.
-        `app`/`att` further restrict the configured branches (stage-1
-        training runs with att=False).
+        frames: (B, T, C, H, W) ndarray or Tensor. Returns a dict with
+        whatever the enabled branches produce: f_app (B, d_g + H*d_p),
+        app_logits (list of (B, G)), f_att (B, N*d), attr_logits (list of
+        (B, m_n)), attention scores, and regions, per attribute the
+        squashed (s_x, s_y, t_x, t_y) tensors of its B*T frames (empty
+        without spatial attention). att=False skips the attribute branch
+        (stage-1 training).
         """
-        fm = self.extract_feature_maps(frames)
-        return self.forward_feature_maps(fm, rng=rng, app=app, att=att)
-
-    def forward_feature_maps(self, fm, rng=None, app=True, att=True):
-        """Branches only; lets precomputed backbone features be swapped in."""
+        if not isinstance(frames, ag.Tensor):
+            frames = ag.Tensor(np.ascontiguousarray(frames))
         cfg = self.cfg
+        B, T, C, H, W = frames.shape
+        flat = self.backbone(frames.reshape((B * T, C, H, W)))  # (B*T, Cf, Hm, Wm)
+        fm = flat.reshape((B, T) + tuple(flat.shape[1:]))
         out = {}
-        B, T = fm.shape[0], fm.shape[1]
-        if cfg.use_app and app:
+        if cfg.use_app:
             g_clip, parts, logits = self.appearance(fm, rng=rng)
             out["app_global"] = g_clip
             out["app_parts"] = parts
             out["app_logits"] = logits
             out["f_app"] = self.appearance.feature(g_clip, parts)
         if cfg.use_att and att:
-            flat = fm.reshape((B * T,) + tuple(fm.shape[2:]))
-            v_flat, _ = self.attention(flat, use_attention=cfg.use_spatial_attention)
+            v_flat, out["regions"] = self.attention(flat)
             d_v = v_flat.shape[-1]
             # (B*T, N, d_v) -> (B, N, T, d_v)
             v = ag.transpose(v_flat.reshape((B, T, cfg.n_attributes, d_v)), (0, 2, 1, 3))

@@ -30,9 +30,6 @@ class Parameter(Tensor):
     def initialize(self, rng, dtype):
         if self.init_spec == "zeros":
             data = np.zeros(self.shape, dtype=dtype)
-        elif self.init_spec.startswith("constant("):
-            c = float(self.init_spec[len("constant("):-1])
-            data = np.full(self.shape, c, dtype=dtype)
         elif self.init_spec == "uniform-fan-in":
             # He-scaled uniform: keeps activation variance roughly constant
             # through ReLU layers (bound = sqrt(6 / fan_in))
@@ -87,9 +84,9 @@ def _name_key(name):
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, bias_init="zeros"):
+    def __init__(self, in_dim, out_dim):
         self.weight = Parameter((out_dim, in_dim))
-        self.bias = Parameter((out_dim,), init=bias_init)
+        self.bias = Parameter((out_dim,), init="zeros")
 
     def __call__(self, x):
         # W is stored (out, in); matmul wants (in, out) on the right

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import os
@@ -184,7 +183,7 @@ def _stage_params(model, stage):
     return model.parameters()
 
 
-def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet=True):
+def train(model_cfg, train_cfg, dataset, out_dir, quiet=True):
     """Two-stage training: stage 1 fits backbone + appearance branch (skipped
     when the appearance branch is ablated), stage 2 optimizes everything
     jointly. Emits a per-step loss CSV and a final checkpoint; aborts on a
@@ -212,7 +211,7 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     snapshot = None
     span = max(sum(e for _, e in stages) - 1, 1)
     epochs_done = 0
-    log_path = os.path.join(out_dir, log_name)
+    log_path = os.path.join(out_dir, "loss_log.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "epoch", "step", "L_tri", "L_ide", "L_att", "L"])
@@ -285,28 +284,12 @@ def train(model_cfg, train_cfg, dataset, out_dir, log_name="loss_log.csv", quiet
     return model, ckpt_path, log_path
 
 
-def evaluate_split(model, test_sequences, lambda_sim, T, feature_mode="fused"):
-    """Embed held-out sequences and run the cross-camera protocol.
-
-    feature_mode selects which descriptor enters the distance: fused,
-    appearance (lambda = 0), or attribute (appearance zeroed).
-    """
+def evaluate_split(model, test_sequences, lambda_sim, T):
+    """Embed held-out sequences and run the cross-camera protocol on the
+    descriptors the model's config produces."""
     records = embed_sequences(test_sequences, model, T)
-    if feature_mode == "appearance":
-        lam = 0.0
-    elif feature_mode == "attribute":
-        records = [replace_app(r) for r in records]
-        lam = 1.0
-    else:
-        lam = lambda_sim
     queries, gallery = query_gallery_split(records)
-    return evaluate(queries, gallery, lambda_sim=lam)
-
-
-def replace_app(record):
-    out = copy.copy(record)
-    out.f_app = np.zeros_like(record.f_app)
-    return out
+    return evaluate(queries, gallery, lambda_sim=lambda_sim)
 
 
 ABLATION_VARIANTS = {

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from talnet import autograd as ag
-from talnet.attention import AffineParams, region_vertices, squash_raw
+from talnet.attention import AffineParams, region_vertices
 from talnet.appearance import GRUCell, gru_encode
 from talnet.checks import run_all
 from talnet.config import DataConfig, ModelConfig, TrainConfig
@@ -249,13 +249,12 @@ def test_criterion_9_ablation_trends(tmp_path):
     train_set, test_set = _generate(ABLATION_DATA)
     seeds = (0, 1, 2)
     r1 = {}
-    for name, overrides, mode in (
-            ("app_only", {"use_att": False}, "appearance"),
-            ("fused", {}, "fused"),
-            ("att_only", {"use_app": False}, "attribute"),
-            ("pool_max", {"use_att": False, "pooling": "max"}, "appearance"),
-            ("pool_random", {"use_att": False, "pooling": "random-sample"},
-             "appearance")):
+    for name, overrides in (
+            ("app_only", {"use_att": False}),
+            ("fused", {}),
+            ("att_only", {"use_app": False}),
+            ("pool_max", {"use_att": False, "pooling": "max"}),
+            ("pool_random", {"use_att": False, "pooling": "random-sample"})):
         vals = []
         for seed in seeds:
             mc = replace(ModelConfig(), **overrides)
@@ -263,7 +262,7 @@ def test_criterion_9_ablation_trends(tmp_path):
             model, _, _ = train(mc, tc, train_set,
                                 tmp_path / f"{name}_{seed}")
             res = evaluate_split(model, test_set.sequences, tc.lambda_sim,
-                                 mc.clip_len, feature_mode=mode)
+                                 mc.clip_len)
             vals.append(res.cmc[0])
         r1[name] = float(np.mean(vals))
         if name == "app_only":

@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talnet import autograd as ag
-from talnet.attention import (AffineParams, SpatialAttentionBlock,
-                              adaptive_mean_pool, region_vertices, squash_raw)
+from talnet.attention import (AffineParams, SpatialAttentionBlock, adaptive_mean_pool,
+                              region_vertices)
 from talnet.gradcheck import grad_check
 
 
-def _block(dtype=np.float32, seed=0, n_attributes=2, cf=6):
+def _block(dtype=np.float32, seed=0, n_attributes=2, cf=6, use_attention=True):
     return SpatialAttentionBlock(cf, n_attributes, d_v=5, frame_hw=(32, 16),
-                                 fm_hw=(8, 4)).initialize(seed, dtype=dtype)
+                                 use_attention=use_attention).initialize(seed, dtype=dtype)
+
+
+def _squash(raw):
+    """`affine_tensors` of one float64 raw 4-vector, as AffineParams."""
+    block = _block(dtype=np.float64)
+    raw = ag.tensor(np.asarray(raw, dtype=np.float64)[None], dtype=np.float64)
+    return AffineParams(*(float(v.data[0]) for v in block.affine_tensors(raw)))
 
 
 def _vertices_oracle(p, H, W):
@@ -50,7 +57,7 @@ def test_vertices_match_matrix_oracle(s_x, s_y, t_x, t_y):
 @given(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_squashed_region_always_in_bounds(raw):
-    p = squash_raw(np.asarray(raw), 32, 16)
+    p = _squash(raw)
     region = region_vertices(p, 32, 16)
     top, left, bottom, right = region.normalized_bounds
     assert -1e-9 <= top <= bottom <= 1 + 1e-9
@@ -61,7 +68,7 @@ def test_squashed_region_always_in_bounds(raw):
 
 
 def test_squash_limits_full_frame():
-    p = squash_raw(np.array([50.0, 50.0, -50.0, -50.0]), 32, 16)
+    p = _squash([50.0, 50.0, -50.0, -50.0])
     assert p.s_x == pytest.approx(1.0) and p.s_y == pytest.approx(1.0)
     assert p.t_x == pytest.approx(0.0, abs=1e-6) and p.t_y == pytest.approx(0.0, abs=1e-6)
 
@@ -69,7 +76,7 @@ def test_squash_limits_full_frame():
 def test_squash_zero_weight_bias_90_percent():
     # raw (b, b, 0, 0) with sigma(b) = 0.9 -> 90% scale anchored near origin
     b = np.log(0.9 / 0.1)
-    p = squash_raw(np.array([b, b, 0.0, 0.0]), 32, 16)
+    p = _squash([b, b, 0.0, 0.0])
     assert p.s_x == pytest.approx(0.9)
     assert p.t_x == pytest.approx(0.5 * 32 * 0.1)  # sigma(0)=0.5 of the slack
 
@@ -107,7 +114,7 @@ def test_fresh_heads_start_at_vertical_strips():
     fm = ag.tensor(np.random.default_rng(8).normal(size=(1, 6, 8, 4)).astype(np.float32))
     t_p = block.primitive_map(fm)
     for n, raw in enumerate(block.raw_affines(t_p)):
-        p = squash_raw(raw.data[0], 32, 16)
+        p = AffineParams(*(float(v.data[0]) for v in block.affine_tensors(raw)))
         assert p.s_x == pytest.approx(0.25, abs=0.02)
         assert p.s_y > 0.9
         top = p.t_x / 32.0
@@ -270,26 +277,26 @@ def test_block_end_to_end_gradcheck():
     assert report.passed, report.summary()
 
 
-def test_describe_regions_shapes():
+def test_block_returns_the_regions_it_pooled():
     block = _block(n_attributes=3)
     fm = ag.tensor(np.random.default_rng(7).normal(size=(4, 6, 8, 4)).astype(np.float32))
-    regions = block.describe_regions(fm)
-    assert len(regions) == 3
-    assert len(regions[0]) == 4
-    params, region = regions[0][0]
-    assert 0 < params.s_x <= 1.0
-    assert len(region.vertices) == 4
+    v, regions = block(fm)
+    assert v.shape == (4, 3, 5) and len(regions) == 3
+    t_p = block.primitive_map(fm)
+    for n, (raw, region) in enumerate(zip(block.raw_affines(t_p), regions)):
+        want = block.affine_tensors(raw)
+        assert len(region) == 4 and all(r.shape == (4,) for r in region)
+        for got, w in zip(region, want):
+            np.testing.assert_array_equal(got.data, w.data)
+        np.testing.assert_array_equal(v.data[:, n], block.region_feature(t_p, *region).data)
 
 
-def test_describe_regions_records_no_graph(monkeypatch):
-    block = _block(n_attributes=2)
+def test_block_without_attention_has_no_heads_and_no_regions():
+    block = _block(n_attributes=3, use_attention=False)
+    assert not any(name.startswith("heads") for name, _ in block.named_parameters())
     fm = ag.tensor(np.random.default_rng(8).normal(size=(2, 6, 8, 4)).astype(np.float32))
-    original, raws = block.raw_affines, []
-
-    def spy(t_p):
-        raws.extend(original(t_p))
-        return raws
-
-    monkeypatch.setattr(block, "raw_affines", spy)
-    block.describe_regions(fm)
-    assert raws and all(r._parents == () and not r.requires_grad for r in raws)
+    v, regions = block(fm)
+    assert regions == []
+    pooled = block.project(ag.tmean(ag.tmean(block.primitive_map(fm), axis=3), axis=2))
+    for n in range(3):
+        np.testing.assert_array_equal(v.data[:, n], pooled.data)

@@ -66,6 +66,12 @@ def test_shape_mismatch_names_op():
     assert (2, 3) in exc.value.shapes
 
 
+def test_matmul_refuses_a_vector_right_operand():
+    with pytest.raises(ag.ShapeError) as exc:
+        ag.matmul(ag.tensor(np.ones((2, 3))), ag.tensor(np.ones(3)))
+    assert exc.value.op == "matmul" and (3,) in exc.value.shapes
+
+
 def test_conv2d_identity_kernel():
     x = ag.tensor(np.random.default_rng(0).normal(size=(2, 1, 5, 4)))
     w = ag.tensor(np.ones((1, 1, 1, 1)))

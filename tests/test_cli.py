@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from talnet.attention import SpatialAttentionBlock
 from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from talnet.data import load_dataset, train_test_split
 from talnet.retrieval import evaluate, metrics_report, query_gallery_split, raw_pixel_record
@@ -57,7 +58,7 @@ def test_missing_checkpoint_is_data_error(tmp_path, capsys):
     assert rc == EXIT_DATA
 
 
-def test_full_flow_synth_train_eval_dump(tmp_path, capsys):
+def test_full_flow_synth_train_eval_dump(tmp_path, monkeypatch, capsys):
     data_dir = str(tmp_path / "data")
     run_dir = str(tmp_path / "run")
     eval_dir = str(tmp_path / "eval")
@@ -85,12 +86,30 @@ def test_full_flow_synth_train_eval_dump(tmp_path, capsys):
     assert baseline == metrics_report(evaluate(q, g))
     assert baseline.splitlines()[0] == metrics.splitlines()[0] == "metric\tvalue"
 
+    raw_calls = []
+    real_raw_affines = SpatialAttentionBlock.raw_affines
+
+    def counted_raw_affines(block, t_p):
+        raws = real_raw_affines(block, t_p)
+        raw_calls.append([r.requires_grad for r in raws])
+        return raws
+
+    monkeypatch.setattr(SpatialAttentionBlock, "raw_affines", counted_raw_affines)
     assert main(["dump-attention", "--data-dir", data_dir,
                  "--checkpoint", ckpt, "--sequence", "0",
                  "--out", dump_dir] + TINY) == EXIT_OK
+    # one forward, recording no graph; its regions are the dumped ones
+    assert len(raw_calls) == 1 and not any(raw_calls[0])
     regions = open(os.path.join(dump_dir, "regions.tsv")).read().splitlines()
     assert regions[0] == "attribute\tframe\ttop\tleft\tbottom\tright"
-    assert len(regions) > 1
+    rows = [r.split("\t") for r in regions[1:]]
+    names = load_dataset(data_dir).schema.names
+    clip_len = 4
+    assert [r[0] for r in rows] == [n for n in names for _ in range(clip_len)]
+    assert [int(r[1]) for r in rows] == list(range(clip_len)) * len(names)
+    for _, _, top, left, bottom, right in rows:
+        assert 0.0 <= float(top) <= float(bottom) <= 1.0
+        assert 0.0 <= float(left) <= float(right) <= 1.0
     scores = np.loadtxt(os.path.join(dump_dir, "semantic_scores.tsv"))
     np.testing.assert_allclose(scores.sum(axis=0), 1.0, atol=1e-5)
 
@@ -113,6 +132,18 @@ def test_dump_attention_unknown_sequence(tmp_path, capsys):
                "--checkpoint", os.path.join(run_dir, "checkpoint.zip"),
                "--sequence", "9999", "--out", str(tmp_path / "d")] + TINY)
     assert rc == EXIT_DATA
+
+
+def test_dump_attention_without_spatial_attention_is_usage_error(tmp_path, capsys):
+    no_st = TINY + ["--set", "model.use_spatial_attention=false"]
+    run_dir, dump_dir = str(tmp_path / "run"), tmp_path / "dump"
+    assert main(["train", "--out", run_dir, "--quiet"] + no_st) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["dump-attention", "--checkpoint", os.path.join(run_dir, "checkpoint.zip"),
+               "--sequence", "0", "--out", str(dump_dir)] + no_st)
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: spatial attention is disabled in this config\n"
+    assert not os.path.exists(dump_dir / "regions.tsv")
 
 
 def test_config_file_round_trip(tmp_path, capsys):

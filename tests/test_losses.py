@@ -21,7 +21,7 @@ def _features(values):
     return f
 
 
-def _triplet_oracle(feats, I, V, margin, squared=True):
+def _triplet_oracle(feats, I, V, margin):
     """Enumerate every positive/negative pair per anchor and take the exact
     hardest ones (first occurrence on ties)."""
     B = I * V
@@ -30,8 +30,6 @@ def _triplet_oracle(feats, I, V, margin, squared=True):
         for j in range(B):
             diff = feats[i] - feats[j]
             d[i, j] = float(diff @ diff)
-            if not squared:
-                d[i, j] = np.sqrt(d[i, j] + 1e-12)
     labels = np.repeat(np.arange(I), V)
     total = 0.0
     for a in range(B):
@@ -120,16 +118,6 @@ def test_triplet_matches_brute_force(I, V, seed):
     f = rng.normal(size=(I * V, 3))
     got = float(triplet_batch_hard(ag.tensor(f, dtype=np.float64), I, V, 0.3).item())
     assert got == pytest.approx(_triplet_oracle(f, I, V, 0.3), abs=1e-10)
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=30, deadline=None)
-def test_triplet_euclidean_flag_matches_brute_force(seed):
-    rng = np.random.default_rng(seed)
-    f = rng.normal(size=(6, 3))
-    got = float(triplet_batch_hard(ag.tensor(f, dtype=np.float64), 3, 2, 0.3,
-                                   squared=False).item())
-    assert got == pytest.approx(_triplet_oracle(f, 3, 2, 0.3, squared=False), abs=1e-6)
 
 
 def test_triplet_tie_break_lowest_index():
@@ -278,14 +266,11 @@ def test_total_loss_weighting():
 # --- the one-node triplet against the composed graph it replaced --------------
 
 
-def _composed_triplet(features, I, V, margin, squared=True):
+def _composed_triplet(features, I, V, margin):
     """Batch-hard triplet built from scalar graph nodes (slice, tmax, concat,
     relu, add), one anchor at a time: the reference for the fused node."""
     B = I * V
     dist = pairwise_sqdist(features)
-    if not squared:
-        eps = ag.constant(1e-12, like=dist)
-        dist = ag.exp(ag.log(dist + eps) * ag.constant(0.5, like=dist))
     total = None
     m = ag.constant(margin, like=features)
     for i in range(I):
@@ -315,22 +300,9 @@ def test_triplet_gradient_matches_composed_graph_with_ties(I, V):
         want_loss, want = _triplet_grad(_composed_triplet, feats, I, V, margin)
         assert got_loss == want_loss
         np.testing.assert_array_equal(got, want)
-        got_loss, got = _triplet_grad(triplet_batch_hard, feats, I, V, margin,
-                                      squared=False)
-        want_loss, want = _triplet_grad(_composed_triplet, feats, I, V, margin,
-                                        squared=False)
-        assert got_loss == pytest.approx(want_loss, rel=1e-12)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_triplet_builds_one_node():
     f = ag.tensor(np.random.default_rng(3).normal(size=(8, 5)), requires_grad=True)
     out = triplet_batch_hard(f, 4, 2, 0.3)
     assert out._op == "max" and out._parents == (f,)
-
-
-def test_triplet_euclidean_gradcheck():
-    rng = np.random.default_rng(7)
-    f = _features(rng.normal(size=(8, 3)))
-    report = grad_check(lambda: triplet_batch_hard(f, 2, 4, 1.0, squared=False), [f])
-    assert report.passed, report.summary()

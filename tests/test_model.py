@@ -34,9 +34,17 @@ def test_full_forward_shapes():
 def test_branch_gating_arguments():
     model = TALNet(CFG).initialize(0)
     out = model.forward_clips(_clips(), att=False)
-    assert "f_app" in out and "f_att" not in out
-    out = model.forward_clips(_clips(), app=False)
-    assert "f_att" in out and "f_app" not in out
+    assert "f_app" in out and "f_att" not in out and "regions" not in out
+
+
+def test_forward_hands_out_squashed_regions_per_frame():
+    model = TALNet(CFG).initialize(0)
+    out = model.forward_clips(_clips(B=2, T=4))
+    assert len(out["regions"]) == 3
+    for s_x, s_y, t_x, t_y in out["regions"]:
+        assert all(v.shape == (8,) for v in (s_x, s_y, t_x, t_y))  # B*T frames
+        assert np.all((s_x.data > 0) & (s_x.data <= 1) & (s_y.data > 0) & (s_y.data <= 1))
+        assert np.all((t_x.data >= 0) & (t_x.data <= 16 * (1 - s_x.data) + 1e-5))
 
 
 def test_ablated_configs_drop_outputs():
@@ -58,8 +66,10 @@ def test_no_ts_context_still_classifies():
 
 def test_no_spatial_attention_path_runs():
     model = TALNet(replace(CFG, use_spatial_attention=False)).initialize(0)
+    assert not any(name.startswith("attention.heads") for name, _ in model.named_parameters())
     out = model.forward_clips(_clips())
     assert out["f_att"].shape == (2, 3 * CFG.d)
+    assert out["regions"] == []
 
 
 def test_descriptors_are_numpy():

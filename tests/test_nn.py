@@ -76,9 +76,6 @@ def test_constant_and_zero_inits():
     z = Parameter((3,), init="zeros")
     z.initialize(np.random.default_rng(0), np.float32)
     np.testing.assert_array_equal(z.data, 0.0)
-    c = Parameter((3,), init="constant(2.5)")
-    c.initialize(np.random.default_rng(0), np.float32)
-    np.testing.assert_array_equal(c.data, 2.5)
     bad = Parameter((3,), init="gaussian")
     with pytest.raises(ValueError):
         bad.initialize(np.random.default_rng(0), np.float32)

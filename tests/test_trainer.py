@@ -193,20 +193,6 @@ def test_divergence_saves_checkpoint_and_raises(tmp_path, small_dataset,
     assert os.path.exists(tmp_path / "div" / "checkpoint.zip")
 
 
-def test_evaluate_split_feature_modes(tmp_path, small_dataset):
-    train_set, test_set = train_test_split(small_dataset, test_seqs_per_id=2)
-    model, _, _ = train(TINY_MODEL, TINY_TRAIN, train_set, tmp_path / "run")
-    for mode in ("fused", "appearance", "attribute"):
-        res = evaluate_split(model, test_set.sequences, 0.3,
-                             TINY_MODEL.clip_len, feature_mode=mode)
-        assert res.cmc.shape == (20,)
-        assert 0.0 <= res.mean_ap <= 1.0
-    # attribute mode must not depend on the appearance descriptor values
-    res_att = evaluate_split(model, test_set.sequences, 0.3,
-                             TINY_MODEL.clip_len, feature_mode="attribute")
-    assert np.all(np.diff(res_att.cmc) >= 0)
-
-
 def test_warmup_holds_triplet_then_enables_it(tmp_path, small_dataset):
     from dataclasses import replace
     # warmup_exit_frac=10 makes the CE condition trivially true, so the
