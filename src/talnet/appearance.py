@@ -24,8 +24,7 @@ class GRUCell(Module):
         z = ag.sigmoid(self.Wz(joint))
         r = ag.sigmoid(self.Wr(joint))
         h_cand = ag.tanh(self.Wh(ag.concat([r * h_prev, x], axis=1)))
-        one = ag.constant(1.0, like=x)
-        return (one - z) * h_prev + z * h_cand
+        return (1.0 - z) * h_prev + z * h_cand
 
 
 def gru_encode(cell, seq):

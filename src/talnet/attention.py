@@ -143,8 +143,8 @@ class SpatialAttentionBlock(Module):
         H, W = self.frame_hw
         s_x = ag.sigmoid(raw[:, 0])
         s_y = ag.sigmoid(raw[:, 1])
-        t_x = ag.sigmoid(raw[:, 2]) * float(H) * (ag.tensor(1.0) - s_x)
-        t_y = ag.sigmoid(raw[:, 3]) * float(W) * (ag.tensor(1.0) - s_y)
+        t_x = ag.sigmoid(raw[:, 2]) * float(H) * (1.0 - s_x)
+        t_y = ag.sigmoid(raw[:, 3]) * float(W) * (1.0 - s_y)
         return s_x, s_y, t_x, t_y
 
     def region_feature(self, t_p, s_x, s_y, t_x, t_y):
@@ -160,13 +160,12 @@ class SpatialAttentionBlock(Module):
         """
         H, W = self.frame_hw
         B, C, Hm, Wm = t_p.shape
-        one = ag.constant(1.0, like=t_p)
         top = t_x * ((Hm - 1) / H)
         left = t_y * ((Wm - 1) / W)
-        ext_r = ag.relu(s_x * float(Hm - 1) - one) + one
-        ext_c = ag.relu(s_y * float(Wm - 1) - one) + one
-        wr = tent_weights(top, ext_r, Hm, like=t_p)
-        wc = tent_weights(left, ext_c, Wm, like=t_p)
+        ext_r = ag.relu(s_x * float(Hm - 1) - 1.0) + 1.0
+        ext_c = ag.relu(s_y * float(Wm - 1) - 1.0) + 1.0
+        wr = tent_weights(top, ext_r, Hm)
+        wc = tent_weights(left, ext_c, Wm)
         x = ag.matmul(t_p.reshape((B, C * Hm, Wm)), wc.reshape((B, Wm, 1)))
         x = ag.matmul(x.reshape((B, C, Hm)), wr.reshape((B, Hm, 1)))
         return self.project(x.reshape((B, C)) / float(Hm * Wm))
@@ -185,18 +184,18 @@ class SpatialAttentionBlock(Module):
         return ag.stack(feats, axis=1), regions  # (B, N, d_v)
 
 
-def tent_weights(start, extent, n, like):
+def tent_weights(start, extent, n):
     """Summed bilinear weights of n samples spread evenly over a segment.
 
     Sample i sits at start + extent * i / (n - 1), clamped to [0, n - 1];
     knot k receives sum_i relu(1 - |sample_i - k|). start, extent: (B,).
-    Returns (B, n) in `like`'s dtype.
+    Returns (B, n) in `start`'s dtype.
     """
     B = start.shape[0]
-    frac = np.linspace(0.0, 1.0, n).astype(like.dtype)
-    knots = np.arange(n, dtype=like.dtype)
+    frac = np.linspace(0.0, 1.0, n).astype(start.dtype)
+    knots = np.arange(n, dtype=start.dtype)
     pos = start.reshape((B, 1)) + extent.reshape((B, 1)) * ag.Tensor(frac[None, :])
     pos = ag.relu(pos) - ag.relu(pos - float(n - 1))
     d = pos.reshape((B, n, 1)) - ag.Tensor(knots[None, None, :])
-    tent = ag.relu(ag.constant(1.0, like=like) - (ag.relu(d) + ag.relu(-d)))
+    tent = ag.relu(1.0 - (ag.relu(d) + ag.relu(-d)))
     return ag.tsum(tent, axis=1)

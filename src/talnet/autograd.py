@@ -167,11 +167,20 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
+    def __radd__(self, other):
+        return add(other, self)
+
     def __sub__(self, other):
         return sub(self, other)
 
+    def __rsub__(self, other):
+        return sub(other, self)
+
     def __mul__(self, other):
         return mul(self, other)
+
+    def __rmul__(self, other):
+        return mul(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -202,16 +211,10 @@ def zeros(shape, dtype=np.float32, requires_grad=False):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def constant(x, like=None):
-    """Non-grad scalar/array Tensor matching `like`'s dtype (float32 default)."""
-    return _as_tensor(x, like=like)
-
-
-def _as_tensor(x, like=None):
+def _as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    dtype = like.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x, dtype=np.float32))
 
 
 def _accum(t, g):
@@ -265,22 +268,29 @@ _BINARY = {
 
 def _binary(op, a, b):
     """Broadcasting elementwise op; its gradient functions map (g, a, b)
-    arrays to the unreduced gradient of each operand."""
+    arrays to the unreduced gradient of each operand. A Python int or float
+    goes to numpy as it is, so the result keeps the Tensor's dtype (NEP 50);
+    it is no graph node and takes no gradient."""
     fwd, grad_a, grad_b = _BINARY[op]
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a_node, b_node = type(a) not in (int, float), type(b) not in (int, float)
+    if a_node:
+        a = _as_tensor(a)
+    if b_node:
+        b = _as_tensor(b)
+    x, y = a.data if a_node else a, b.data if b_node else b
     try:
-        out = fwd(a.data, b.data)
+        out = fwd(x, y)
     except ValueError:
-        raise ShapeError(op, a.shape, b.shape) from None
+        raise ShapeError(op, np.shape(x), np.shape(y)) from None
 
     def bwd(g):
         # add and sub hand back g itself, so these are copied in, never adopted
-        if a.requires_grad:
-            _accum(a, _unbroadcast(grad_a(g, a.data, b.data), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape))
+        if a_node and a.requires_grad:
+            _accum(a, _unbroadcast(grad_a(g, x, y), a.shape))
+        if b_node and b.requires_grad:
+            _accum(b, _unbroadcast(grad_b(g, x, y), b.shape))
 
-    return _make(out, (a, b), bwd, op)
+    return _make(out, (a, b) if a_node and b_node else (a,) if a_node else (b,), bwd, op)
 
 
 def add(a, b):
@@ -300,7 +310,7 @@ def div(a, b):
 
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
     out = a.data @ b.data

@@ -97,8 +97,7 @@ def cmd_eval(args):
     model = _load_model(args, cfg, dataset)
     records = embed_sequences(test_set.sequences, model, cfg.model.clip_len)
     queries, gallery = query_gallery_split(records)
-    result = evaluate(queries, gallery, lambda_sim=cfg.train.lambda_sim,
-                      protocol=args.protocol)
+    result = evaluate(queries, gallery, lambda_sim=cfg.train.lambda_sim)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
     write_embeddings(os.path.join(out, "embeddings.tsv"), records)
@@ -108,7 +107,7 @@ def cmd_eval(args):
     # the untrained reference: frame-averaged raw pixels on the same split
     queries, gallery = query_gallery_split([raw_pixel_record(s) for s in test_set.sequences])
     with open(os.path.join(out, "baseline.tsv"), "w") as fh:
-        fh.write(metrics_report(evaluate(queries, gallery, protocol=args.protocol)))
+        fh.write(metrics_report(evaluate(queries, gallery)))
     print(report, end="")
     return EXIT_OK
 
@@ -190,42 +189,43 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="talnet", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def run_config(p, data_dir=True):
         p.add_argument("--config", help="plain key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry, e.g. model.d=32")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--data-dir", help="load a dataset written by `synth` instead of regenerating")
-        p.add_argument("--quiet", action="store_true")
+        if data_dir:
+            p.add_argument("--data-dir",
+                           help="load a dataset written by `synth` instead of regenerating")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    common(p)
+    run_config(p, data_dir=False)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="two-stage training run")
-    common(p)
+    run_config(p)
+    p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="CMC/mAP evaluation of a checkpoint")
-    common(p)
+    run_config(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", default="multi-shot", choices=["multi-shot", "pairwise"])
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")
-    common(p)
+    run_config(p)
+    p.add_argument("--quiet", action="store_true")
     p.add_argument("--variants", help="comma-separated variant names (default: all)")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=1e-5)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("dump-attention", help="region and score tables for one sequence")
-    common(p)
+    run_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sequence", type=int, default=0)
     p.set_defaults(fn=cmd_dump_attention)

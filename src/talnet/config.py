@@ -124,6 +124,9 @@ def _coerce(current, raw):
 def apply_overrides(cfg, items):
     """Apply dotted key=value overrides, e.g. model.d=32 or train.lr=0.01."""
     for key, raw in items:
+        # `trainer.build_model` sets these two from the dataset
+        if key in ("model.num_classes", "model.category_counts"):
+            raise ValueError(f"{key} is set from the dataset and cannot be overridden")
         parts = key.split(".")
         obj = cfg
         for p in parts[:-1]:

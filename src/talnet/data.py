@@ -64,16 +64,6 @@ class VideoSequence:
 
 
 @dataclass
-class VideoClip:
-    frames: np.ndarray  # (T, C, H, W)
-    identity: int
-    camera: int
-    attribute_labels: np.ndarray
-    sequence_id: int = -1
-    padded: bool = False
-
-
-@dataclass
 class VideoDataset:
     schema: AttributeSchema
     sequences: list
@@ -235,26 +225,19 @@ def _occlude(img, rng, area_lo=0.05, area_hi=0.25):
 # --- clip handling ------------------------------------------------------
 
 def split_clips(seq, T):
-    """Consecutive non-overlapping clips of length T; remainder dropped.
+    """Consecutive non-overlapping clips of length T, each a `VideoSequence`
+    of T frames; remainder dropped.
 
     Sequences shorter than T yield one clip padded by repeating the last
-    frame, flagged padded=True.
+    frame.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     F = len(seq.frames)
     if F < T:
         pad = np.repeat(seq.frames[-1:], T - F, axis=0)
-        frames = np.concatenate([seq.frames, pad], axis=0)
-        return [VideoClip(frames=frames, identity=seq.identity, camera=seq.camera,
-                          attribute_labels=seq.attribute_labels, sequence_id=seq.sequence_id,
-                          padded=True)]
-    clips = []
-    for k in range(F // T):
-        clips.append(VideoClip(frames=seq.frames[k * T:(k + 1) * T], identity=seq.identity,
-                               camera=seq.camera, attribute_labels=seq.attribute_labels,
-                               sequence_id=seq.sequence_id))
-    return clips
+        return [replace(seq, frames=np.concatenate([seq.frames, pad], axis=0))]
+    return [replace(seq, frames=seq.frames[k * T:(k + 1) * T]) for k in range(F // T)]
 
 
 def all_clips(dataset, T):
@@ -343,10 +326,13 @@ def read_annotations(path):
             attrs.append((name, tuple(cats.split("|"))))
         schema = AttributeSchema(attributes=tuple(attrs))
         labels = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             parts = line.split("\t")
+            if len(parts) != 1 + schema.n_attributes:
+                raise ValueError(f"{path}:{lineno}: expected {schema.n_attributes} labels, "
+                                 f"got {len(parts) - 1}")
             ident = int(parts[0])
             if ident in labels:
                 raise ValueError(f"identity {ident} appears twice in {path}")
@@ -386,6 +372,10 @@ def load_dataset(directory):
             sid, ident, cam, count, rel = fields
             path = os.path.join(directory, rel)
             frames = np.load(path)
+            if frames.ndim != 4 or not np.issubdtype(frames.dtype, np.floating):
+                raise ValueError(f"{path}: expected a 4-D floating frame stack, "
+                                 f"got {frames.ndim}-D {frames.dtype}")
+            frames = frames.astype(np.float32, copy=False)
             if len(frames) != int(count):
                 raise ValueError(f"frame count mismatch for sequence {sid}")
             if not np.isfinite(frames).all():

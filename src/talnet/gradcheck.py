@@ -44,14 +44,14 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(f, params, eps=1e-5, tol=1e-4, max_coords_per_param=200, rng=None):
+def grad_check(f, params, eps=1e-5, tol=1e-4, max_coords_per_param=200):
     """Compare autodiff gradients of scalar f() against central differences.
 
     `params` are Parameters, which must be float64 (the caller initializes
     the model with `dtype=np.float64`). Coordinates are subsampled at
-    `max_coords_per_param` per parameter.
+    `max_coords_per_param` per parameter, drawn by one seed-0 generator.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for p in params:
         if p.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters, got {p.dtype} for {p.name}")

@@ -34,7 +34,7 @@ def triplet_batch_hard(features, I, V, margin):
     rows = np.arange(B)
     pos = np.where(same, dist, -np.inf).argmax(axis=1)
     neg = np.where(same, np.inf, dist).argmin(axis=1)
-    pre = (np.asarray(margin, dtype=dist.dtype) + dist[rows, pos]) - dist[rows, neg]
+    pre = (margin + dist[rows, pos]) - dist[rows, neg]
     total = np.cumsum(np.maximum(pre, 0.0))[-1]
 
     def bwd(g):
@@ -51,17 +51,14 @@ def triplet_batch_hard(features, I, V, margin):
     return ag._make(np.asarray(total), (features,), bwd, "max")
 
 
-def ce_label_smooth(logits, targets, epsilon, num_classes=None):
+def ce_label_smooth(logits, targets, epsilon):
     """Mean over the batch of -log((1 - eps) * q_target + eps / G)."""
     B, G = logits.shape
-    if num_classes is not None and num_classes != G:
-        raise ag.ShapeError("ce_label_smooth", logits.shape, (num_classes,))
     targets = np.asarray(targets, dtype=np.intp)
     q = ag.softmax(logits, axis=1)
     q_target = q[np.arange(B), targets]
     eps = float(epsilon)
-    smoothed = q_target * ag.constant(1.0 - eps, like=logits) \
-        + ag.constant(eps / G, like=logits)
+    smoothed = q_target * (1.0 - eps) + eps / G
     return -ag.tmean(ag.log(smoothed))
 
 
@@ -82,7 +79,7 @@ def appearance_loss(global_feat, part_feats, logits, targets, I, V, margin, epsi
         tri = tri + triplet_batch_hard(p, I, V, margin)
     l_tri = tri.item()
     if tri_weight != 1.0:
-        tri = ag.constant(float(tri_weight), like=tri) * tri
+        tri = float(tri_weight) * tri
     return tri + ide, l_tri, ide.item()
 
 
@@ -102,7 +99,7 @@ def total_loss(l_app, l_att, lambda_total):
     """L = L_app + lambda * L_att; either side may be None when ablated."""
     if l_att is None:
         return l_app
-    scaled = l_att * ag.constant(lambda_total, like=l_att)
+    scaled = l_att * lambda_total
     if l_app is None:
         return scaled
     return l_app + scaled

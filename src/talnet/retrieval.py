@@ -78,21 +78,19 @@ def distance_matrix(queries, gallery, lambda_sim):
     return out
 
 
-def evaluate(queries, gallery, lambda_sim=0.3, protocol="multi-shot", max_rank=20):
+def evaluate(queries, gallery, lambda_sim=0.3, max_rank=20):
     """CMC / mAP over a ranked gallery.
 
-    multi-shot: per query, gallery entries with the same identity AND the
-    same camera are excluded (MARS-style). pairwise: gallery used as-is, one
-    entry per identity expected (iLIDS-style). Distance ties break by gallery
-    index. Queries whose identity is absent from the (filtered) gallery are
-    skipped with a warning.
+    Per query, gallery entries with the same identity AND the same camera
+    are excluded (MARS-style). On a cross-camera split nothing is excluded,
+    so one gallery entry per identity ranks as iLIDS-VID's protocol does.
+    Distance ties break by gallery index. Queries whose identity is absent
+    from the (filtered) gallery are skipped with a warning.
 
     One stable argsort orders every row by distance, ties by gallery index;
     dropping the excluded entries from a row keeps the rest in the order a
     sort of the kept entries alone would give.
     """
-    if protocol not in ("multi-shot", "pairwise"):
-        raise ValueError(f"unknown protocol {protocol!r}")
     dist = distance_matrix(queries, gallery, lambda_sim)
     orders = np.argsort(dist, axis=1, kind="stable")
     g_ids = np.array([g.identity for g in gallery])
@@ -107,9 +105,8 @@ def evaluate(queries, gallery, lambda_sim=0.3, protocol="multi-shot", max_rank=2
     for i, q in enumerate(queries):
         order = orders[i]
         matches = g_ids[order] == q.identity
-        if protocol == "multi-shot":
-            keep = ~(matches & (g_cams[order] == q.camera))
-            order, matches = order[keep], matches[keep]
+        keep = ~(matches & (g_cams[order] == q.camera))
+        order, matches = order[keep], matches[keep]
         ranks = np.flatnonzero(matches)
         if ranks.size == 0:
             skipped += 1
@@ -167,10 +164,10 @@ def _clip_mean(f, lo, hi):
     return f[lo:hi].mean(axis=0) if f is not None else np.zeros(0, dtype=np.float32)
 
 
-def query_gallery_split(sequences, query_camera=0):
-    """Cross-camera protocol: camera `query_camera` probes the rest."""
-    queries = [s for s in sequences if s.camera == query_camera]
-    gallery = [s for s in sequences if s.camera != query_camera]
+def query_gallery_split(sequences):
+    """Cross-camera protocol: camera 0 probes the rest."""
+    queries = [s for s in sequences if s.camera == 0]
+    gallery = [s for s in sequences if s.camera != 0]
     return queries, gallery
 
 
@@ -184,9 +181,9 @@ def write_embeddings(path, records):
             fh.write(f"{r.sequence_id}\t{r.identity}\t{r.camera}\t{app}\t{att}\n")
 
 
-def metrics_report(result, ranks=(1, 5, 10, 20)):
+def metrics_report(result):
     lines = ["metric\tvalue"]
-    for k in ranks:
+    for k in (1, 5, 10, 20):
         if k <= len(result.cmc):
             lines.append(f"rank-{k}\t{result.cmc[k - 1]:.4f}")
     lines.append(f"mAP\t{result.mean_ap:.4f}")

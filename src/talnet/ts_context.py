@@ -61,8 +61,7 @@ def _lattice_step(cell, v, h_attr, h_time, s_attr=None, s_time=None):
     z_a, z_t, _, _, h_cand = cell.gates(v, h_attr, h_time)
     if s_attr is not None:
         z_a, z_t = s_attr * z_a, s_time * z_t
-    one = ag.constant(1.0, like=v)
-    return z_a * h_attr + z_t * h_time + (one - z_a - z_t) * h_cand
+    return z_a * h_attr + z_t * h_time + (1.0 - z_a - z_t) * h_cand
 
 
 def _diagonals(N, T):

@@ -168,7 +168,7 @@ def test_criterion_6_ranking_oracle():
                                    int(ids_g[j]), 1, 100 + j)
                    for j in range(ng)]
         res = evaluate(queries, gallery, lambda_sim=0.4, max_rank=10)
-        cmc_o, map_o = _rank_oracle(queries, gallery, 0.4, "multi-shot", 10)
+        cmc_o, map_o = _rank_oracle(queries, gallery, 0.4, 10)
         np.testing.assert_allclose(res.cmc, cmc_o, atol=1e-12)
         assert res.mean_ap == pytest.approx(map_o, abs=1e-12)
         assert np.all(np.diff(res.cmc) >= 0)

@@ -66,6 +66,22 @@ def test_shape_mismatch_names_op():
     assert (2, 3) in exc.value.shapes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_numbers_are_operands_in_the_tensor_dtype(dtype):
+    x = np.array([0.5, -1.25, 2.0], dtype=dtype)
+    for build, slope in ((lambda t: 1.0 - t, -1.0), (lambda t: 2 * t, 2.0),
+                         (lambda t: t * 0.3, 0.3)):
+        t = ag.tensor(x, requires_grad=True, dtype=dtype)
+        out = build(t)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, build(x))
+        # the number is no graph node, so only the tensor takes a gradient
+        assert len(out._parents) == 1 and out._parents[0] is t
+        ag.tsum(out).backward()
+        assert t.grad.dtype == dtype
+        np.testing.assert_array_equal(t.grad, np.full(3, slope, dtype=dtype))
+
+
 def test_matmul_refuses_a_vector_right_operand():
     with pytest.raises(ag.ShapeError) as exc:
         ag.matmul(ag.tensor(np.ones((2, 3))), ag.tensor(np.ones(3)))

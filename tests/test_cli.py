@@ -1,13 +1,15 @@
 """End-to-end CLI flow on a deliberately tiny configuration."""
 
+import argparse
 import os
+import shutil
 import zipfile
 
 import numpy as np
 import pytest
 
 from talnet.attention import SpatialAttentionBlock
-from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from talnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from talnet.data import load_dataset, train_test_split
 from talnet.retrieval import evaluate, metrics_report, query_gallery_split, raw_pixel_record
 
@@ -36,6 +38,49 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_help_exits_ok(capsys):
     assert main(["--help"]) == EXIT_OK
+
+
+# the flags each command reads; 28 in all
+COMMAND_FLAGS = {
+    "synth": {"--config", "--set", "--out"},
+    "train": {"--config", "--set", "--out", "--data-dir", "--quiet"},
+    "eval": {"--config", "--set", "--out", "--data-dir", "--checkpoint"},
+    "ablate": {"--config", "--set", "--out", "--data-dir", "--quiet", "--variants", "--seeds"},
+    "gradcheck": {"--tol", "--eps"},
+    "dump-attention": {"--config", "--set", "--out", "--data-dir", "--checkpoint", "--sequence"},
+}
+
+
+def test_each_command_declares_the_flags_it_reads():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {name: {flag for action in p._actions for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, p in commands.items()}
+    assert declared == COMMAND_FLAGS
+    assert sum(map(len, declared.values())) == 28
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--data-dir"), ("synth", "--quiet"),
+    ("eval", "--quiet"), ("eval", "--protocol"), ("dump-attention", "--quiet"),
+    ("gradcheck", "--config"), ("gradcheck", "--set"), ("gradcheck", "--out"),
+    ("gradcheck", "--data-dir"), ("gradcheck", "--quiet"),
+])
+def test_a_flag_the_command_does_not_read_is_usage_error(command, flag, capsys):
+    required = ["--checkpoint", "c"] if command in ("eval", "dump-attention") else []
+    assert main([command, flag, "x"] + required) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["model.num_classes=3", "model.category_counts=3,4"])
+def test_dataset_derived_model_keys_are_data_errors(tmp_path, capsys, item):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--out", str(run_dir), "--set", item] + TINY) == EXIT_DATA
+    key = item.split("=")[0]
+    err = capsys.readouterr().err
+    assert err == f"error: {key} is set from the dataset and cannot be overridden\n"
+    assert not run_dir.exists()
 
 
 def test_bad_override_is_data_error(tmp_path, capsys):
@@ -282,6 +327,36 @@ def test_non_finite_frame_names_file(tmp_path, capsys):
     assert rc == EXIT_DATA
     assert capsys.readouterr().err == f"error: {path}: non-finite frame values\n"
     assert not os.path.exists(os.path.join(tmp_path, "run", "checkpoint.zip"))
+
+
+def test_float64_frames_train_as_the_float32_ones(tmp_path, capsys):
+    data_dir, wide_dir = tmp_path / "data", tmp_path / "wide"
+    assert main(["synth", "--out", str(data_dir)] + TINY) == EXIT_OK
+    shutil.copytree(data_dir, wide_dir)
+    for path in wide_dir.glob("*.npy"):
+        np.save(path, np.load(path).astype(np.float64))
+    for src in (data_dir, wide_dir):
+        assert main(["train", "--data-dir", str(src), "--out", str(tmp_path / f"run_{src.name}"),
+                     "--quiet"] + TINY) == EXIT_OK
+    logs = [(tmp_path / f"run_{name}" / "loss_log.csv").read_bytes() for name in ("data", "wide")]
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("recast, found", [
+    pytest.param(lambda f: (f * 255).astype(np.uint8), "4-D uint8", id="uint8"),
+    pytest.param(lambda f: f[0], "3-D float32", id="3-D"),
+])
+def test_frame_stack_that_is_not_4d_floating_names_file(tmp_path, capsys, recast, found):
+    data_dir = str(tmp_path / "data")
+    assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
+    rel = open(os.path.join(data_dir, "manifest.tsv")).read().splitlines()[1].split("\t")[-1]
+    path = os.path.join(data_dir, rel)
+    np.save(path, recast(np.load(path)))
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", data_dir, "--out", str(tmp_path / "run")] + TINY)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {path}: expected a 4-D floating frame stack, "
+                                       f"got {found}\n")
 
 
 def test_checkpoint_of_another_model_config_is_data_error(tmp_path, capsys):

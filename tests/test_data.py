@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,12 +52,13 @@ def test_raw_pixel_rank1_band(schema):
 
 
 def test_split_clips_even():
-    seq = _seq(16)
+    seq = _seq(16, identity=3, camera=1)
     clips = D.split_clips(seq, 8)
     assert len(clips) == 2
     np.testing.assert_array_equal(clips[0].frames, seq.frames[:8])
     np.testing.assert_array_equal(clips[1].frames, seq.frames[8:])
-    assert not clips[0].padded
+    assert all((c.identity, c.camera, c.sequence_id) == (seq.identity, seq.camera, seq.sequence_id)
+               for c in clips)
 
 
 def test_split_clips_drops_remainder():
@@ -66,7 +69,7 @@ def test_split_clips_drops_remainder():
 def test_split_clips_pads_short_sequence():
     seq = _seq(5)
     clips = D.split_clips(seq, 8)
-    assert len(clips) == 1 and clips[0].padded
+    assert len(clips) == 1
     np.testing.assert_array_equal(clips[0].frames[5:], np.repeat(seq.frames[4:5], 3, axis=0))
 
 
@@ -79,7 +82,7 @@ def test_split_clips_partition_property(n_frames, T):
         covered = np.concatenate([c.frames for c in clips])
         np.testing.assert_array_equal(covered, _seq(n_frames).frames[: len(covered)])
     else:
-        assert len(clips) == 1 and clips[0].padded
+        assert len(clips) == 1
 
 
 def _seq(n_frames, identity=0, camera=0):
@@ -93,9 +96,9 @@ def _clips_for(n_ids, clips_per_id):
     clips = []
     for i in range(n_ids):
         for k in range(clips_per_id):
-            clips.append(D.VideoClip(frames=np.zeros((2, 3, 4, 2), np.float32),
-                                     identity=i, camera=0,
-                                     attribute_labels=np.array([0]), sequence_id=i * 10 + k))
+            clips.append(D.VideoSequence(frames=np.zeros((2, 3, 4, 2), np.float32),
+                                         identity=i, camera=0,
+                                         attribute_labels=np.array([0]), sequence_id=i * 10 + k))
     return clips
 
 
@@ -131,8 +134,8 @@ def test_random_erase_identity_at_zero(rng):
 
 
 def test_random_erase_consistent_across_frames(rng):
-    clip = D.VideoClip(frames=np.zeros((4, 3, 16, 8), np.float32), identity=0,
-                       camera=0, attribute_labels=np.array([0]))
+    clip = D.VideoSequence(frames=np.zeros((4, 3, 16, 8), np.float32), identity=0,
+                           camera=0, attribute_labels=np.array([0]))
     out = D.random_erase(clip, 1.0, rng)
     changed = np.any(out.frames != clip.frames, axis=1)  # (T, H, W)
     assert changed.any()
@@ -143,8 +146,8 @@ def test_random_erase_consistent_across_frames(rng):
 
 def test_random_erase_probability_monte_carlo():
     rng = np.random.default_rng(99)
-    clip = D.VideoClip(frames=np.zeros((2, 3, 16, 8), np.float32), identity=0,
-                       camera=0, attribute_labels=np.array([0]))
+    clip = D.VideoSequence(frames=np.zeros((2, 3, 16, 8), np.float32), identity=0,
+                           camera=0, attribute_labels=np.array([0]))
     erased = sum(
         np.any(D.random_erase(clip, 0.3, rng).frames != 0) for _ in range(10_000))
     assert erased / 10_000 == pytest.approx(0.3, abs=0.02)
@@ -167,6 +170,18 @@ def test_annotation_rejects_duplicates(tmp_path, schema):
     with open(path, "a") as fh:
         fh.write("0\t1\t1\t1\t1\n")
     with pytest.raises(ValueError):
+        D.read_annotations(path)
+
+
+@pytest.mark.parametrize("row", ["1\t2\t3\t0\n", "1\t2\t3\t0\t1\t2\n"],
+                         ids=["too_few", "too_many"])
+def test_annotation_rejects_a_row_of_the_wrong_length(tmp_path, schema, row):
+    path = tmp_path / "ann.tsv"
+    D.write_annotations(path, schema, {0: np.array([0, 1, 2, 0])})
+    with open(path, "a") as fh:
+        fh.write(row)
+    n_labels = len(row.split("\t")) - 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 4 labels, got {n_labels}")):
         D.read_annotations(path)
 
 

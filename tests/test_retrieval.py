@@ -17,7 +17,7 @@ from talnet.trainer import build_model
 # --- brute-force ranking oracle ----------------------------------------------
 
 
-def _rank_oracle(queries, gallery, lambda_sim, protocol, max_rank):
+def _rank_oracle(queries, gallery, lambda_sim, max_rank):
     """Independent CMC / mAP: explicit sort with (distance, index) keys and a
     textbook average-precision sum per query."""
     cmc = np.zeros(max_rank)
@@ -25,8 +25,7 @@ def _rank_oracle(queries, gallery, lambda_sim, protocol, max_rank):
     for q in queries:
         entries = []
         for j, g in enumerate(gallery):
-            if protocol == "multi-shot" and g.identity == q.identity \
-                    and g.camera == q.camera:
+            if g.identity == q.identity and g.camera == q.camera:
                 continue
             da = q.f_app - g.f_app
             dt = q.f_att - g.f_att
@@ -145,10 +144,8 @@ def test_multishot_excludes_same_camera_same_id():
         _rec([2.0], [], 1, 1, 2),
         _rec([1.0], [], 3, 1, 3),
     ]
-    res = evaluate([q], gallery, protocol="multi-shot", max_rank=2)
+    res = evaluate([q], gallery, max_rank=2)
     np.testing.assert_allclose(res.cmc, [0.0, 1.0])
-    res_pw = evaluate([q], gallery, protocol="pairwise", max_rank=2)
-    np.testing.assert_allclose(res_pw.cmc, [1.0, 1.0])
 
 
 def test_skipped_query_warns():
@@ -160,11 +157,6 @@ def test_skipped_query_warns():
     assert res.mean_ap == 0.0
 
 
-def test_unknown_protocol():
-    with pytest.raises(ValueError):
-        evaluate([], [], protocol="open-set")
-
-
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=200, deadline=None)
 def test_ranking_matches_brute_force_oracle(seed):
@@ -173,7 +165,6 @@ def test_ranking_matches_brute_force_oracle(seed):
     n_q = int(rng.integers(1, 11))
     n_g = int(rng.integers(n_ids, 31))
     lam = float(rng.uniform(0, 1))
-    protocol = "multi-shot" if rng.integers(2) else "pairwise"
     queries = [_rec(rng.normal(size=4), rng.normal(size=2),
                     int(rng.integers(n_ids)), camera=0, sid=i)
                for i in range(n_q)]
@@ -183,9 +174,8 @@ def test_ranking_matches_brute_force_oracle(seed):
     import warnings as _w
     with _w.catch_warnings():
         _w.simplefilter("ignore")
-        res = evaluate(queries, gallery, lambda_sim=lam, protocol=protocol,
-                       max_rank=10)
-    oc, omap = _rank_oracle(queries, gallery, lam, protocol, 10)
+        res = evaluate(queries, gallery, lambda_sim=lam, max_rank=10)
+    oc, omap = _rank_oracle(queries, gallery, lam, 10)
     np.testing.assert_allclose(res.cmc, oc, atol=1e-12)
     assert res.mean_ap == pytest.approx(omap, abs=1e-12)
     # CMC must be non-decreasing in k
@@ -251,7 +241,7 @@ def test_duplicates_in_different_blocks_tie_bitwise_in_gallery_order(rng):
     assert dist[0, copies[0]] == 0.0
     want = np.array([[fused_distance(q, g, 0.3) for g in gallery] for q in queries])
     np.testing.assert_allclose(dist, want, rtol=1e-12, atol=0)
-    res = evaluate(queries, gallery, lambda_sim=0.3, protocol="pairwise")
+    res = evaluate(queries, gallery, lambda_sim=0.3)
     assert len(res.per_query) == len(queries)
     for _, ranked, _ in res.per_query:
         pos = [ranked.index(100 + k) for k in copies]
@@ -266,7 +256,7 @@ def test_ablated_branch_ranking_across_blocks(rng, app_dim, att_dim):
     want = np.array([[fused_distance(q, g, 0.6) for g in gallery] for q in queries])
     np.testing.assert_allclose(dist, want, rtol=1e-12, atol=0)
     res = evaluate(queries, gallery, lambda_sim=0.6, max_rank=10)
-    oc, omap = _rank_oracle(queries, gallery, 0.6, "multi-shot", 10)
+    oc, omap = _rank_oracle(queries, gallery, 0.6, 10)
     np.testing.assert_allclose(res.cmc, oc, atol=1e-12)
     assert res.mean_ap == pytest.approx(omap, abs=1e-12)
 
@@ -277,7 +267,7 @@ def test_ranked_ids_are_the_records_own_objects(rng):
     gallery = _records(rng, 40, 5, 3, 4, sid0=5000)
     res = evaluate(queries, gallery, lambda_sim=0.3)
     dist = distance_matrix(queries, gallery, 0.3)
-    oc, omap = _rank_oracle(queries, gallery, 0.3, "multi-shot", 20)
+    oc, omap = _rank_oracle(queries, gallery, 0.3, 20)
     np.testing.assert_allclose(res.cmc, oc, atol=1e-12)
     assert res.mean_ap == pytest.approx(omap, abs=1e-12)
     assert len(res.per_query) == len(queries)
@@ -321,7 +311,7 @@ def test_evaluate_rejects_mismatched_widths(rng):
 
 def test_query_gallery_split():
     recs = [_rec([0.0], [], i, camera=i % 3, sid=i) for i in range(9)]
-    q, g = query_gallery_split(recs, query_camera=0)
+    q, g = query_gallery_split(recs)
     assert all(r.camera == 0 for r in q)
     assert all(r.camera != 0 for r in g)
     assert len(q) + len(g) == 9
