@@ -17,6 +17,11 @@ slice's scatter buffer, the conv2d input gradient) hands it over as the first
 the dtype its parameters were initialised in: float32 for training, float64
 for the gradient checks. conv2d refuses a weight or bias whose dtype is not
 its input's, so a stray promotion fails loudly instead of mixing dtypes.
+
+Layer-level fused nodes live in their own modules and are built with
+`_make`: the batch-hard triplet loss in `losses`, the GRU recurrence
+(`gru`) in `appearance` and each TS-GRU lattice pass (`ts_gru`) in
+`ts_context`.
 """
 
 from __future__ import annotations
@@ -247,8 +252,14 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _records(parents):
+    """True when `_make` would record a node over `parents`. A fused op saves
+    the arrays its backward needs only then."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn, op):
-    if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+    if not _records(parents):
         return Tensor(data, op=op)
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
 

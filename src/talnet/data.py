@@ -317,6 +317,14 @@ def write_annotations(path, schema, labels_by_identity):
             fh.write("\t".join([str(ident)] + [str(int(v)) for v in labels]) + "\n")
 
 
+def _int_field(path, lineno, what, text):
+    """int(text), or a ValueError that names the file, the line and the field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} {text.strip()!r} is not an integer") from None
+
+
 def read_annotations(path):
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -333,13 +341,14 @@ def read_annotations(path):
             if len(parts) != 1 + schema.n_attributes:
                 raise ValueError(f"{path}:{lineno}: expected {schema.n_attributes} labels, "
                                  f"got {len(parts) - 1}")
-            ident = int(parts[0])
+            ident = _int_field(path, lineno, "identity", parts[0])
             if ident in labels:
-                raise ValueError(f"identity {ident} appears twice in {path}")
-            vec = np.asarray([int(v) for v in parts[1:]], dtype=np.int64)
+                raise ValueError(f"{path}:{lineno}: identity {ident} appears twice")
+            vec = np.asarray([_int_field(path, lineno, f"label of {name}", v)
+                              for name, v in zip(schema.names, parts[1:])], dtype=np.int64)
             for v, m in zip(vec, schema.category_counts):
                 if not 0 <= v < m:
-                    raise ValueError(f"attribute index {v} out of range in {path}")
+                    raise ValueError(f"{path}:{lineno}: attribute index {v} out of range")
             labels[ident] = vec
     return schema, labels
 
@@ -357,8 +366,13 @@ def save_dataset(directory, dataset):
             fh.write(f"{seq.sequence_id}\t{seq.identity}\t{seq.camera}\t{len(seq.frames)}\t{rel}\n")
 
 
+# the manifest's integer columns, in order; the fifth is the frame file
+_MANIFEST_INTS = ("sequence_id", "identity", "camera", "frame_count")
+
+
 def load_dataset(directory):
-    schema, labels = read_annotations(os.path.join(directory, "annotations.tsv"))
+    annotations = os.path.join(directory, "annotations.tsv")
+    schema, labels = read_annotations(annotations)
     sequences = []
     manifest = os.path.join(directory, "manifest.tsv")
     with open(manifest) as fh:
@@ -369,17 +383,22 @@ def load_dataset(directory):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 5:
                 raise ValueError(f"{manifest}:{lineno}: expected 5 fields")
-            sid, ident, cam, count, rel = fields
+            sid, ident, cam, count = (_int_field(manifest, lineno, what, text)
+                                      for what, text in zip(_MANIFEST_INTS, fields))
+            rel = fields[4]
+            if ident not in labels:
+                raise ValueError(f"{manifest}:{lineno}: identity {ident} is not in {annotations}")
             path = os.path.join(directory, rel)
             frames = np.load(path)
             if frames.ndim != 4 or not np.issubdtype(frames.dtype, np.floating):
                 raise ValueError(f"{path}: expected a 4-D floating frame stack, "
                                  f"got {frames.ndim}-D {frames.dtype}")
             frames = frames.astype(np.float32, copy=False)
-            if len(frames) != int(count):
-                raise ValueError(f"frame count mismatch for sequence {sid}")
+            if len(frames) != count:
+                raise ValueError(f"{manifest}:{lineno}: frame_count {count}, but {path} "
+                                 f"holds {len(frames)} frames")
             if not np.isfinite(frames).all():
                 raise ValueError(f"{path}: non-finite frame values")
-            sequences.append(VideoSequence(frames=frames, identity=int(ident), camera=int(cam),
-                                           attribute_labels=labels[int(ident)], sequence_id=int(sid)))
+            sequences.append(VideoSequence(frames=frames, identity=ident, camera=cam,
+                                           attribute_labels=labels[ident], sequence_id=sid))
     return VideoDataset(schema=schema, sequences=sequences)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talnet import autograd as ag
-from talnet.appearance import (AppearanceBranch, GRUCell, gru_encode,
-                               spatial_mean, stripe_split, temporal_pool)
+from talnet.appearance import AppearanceBranch, GRUCell, gru_encode, temporal_pool
 from talnet.gradcheck import grad_check
 from talnet.losses import ce_label_smooth
 
@@ -35,30 +34,118 @@ def _gru_oracle(cell, seq):
     return out
 
 
-# --- stripes ---------------------------------------------------------------
+# --- composed-graph references for the fused nodes ------------------------
 
 
-def test_stripe_split_partitions_and_reassembles(rng):
-    fm = ag.tensor(rng.normal(size=(2, 3, 5, 8, 4)), dtype=np.float64)
-    bands = stripe_split(fm, 4)
-    assert len(bands) == 4
-    assert all(b.shape == (2, 3, 5, 2, 4) for b in bands)
-    recon = np.concatenate([b.data for b in bands], axis=-2)
-    np.testing.assert_array_equal(recon, fm.data)
+def _composed_gru_encode(cell, seq):
+    """The GRU built from elementwise, concat and Linear graph nodes, one
+    step at a time: the reference for the one-node `gru_encode`."""
+    B, T, _ = seq.shape
+    h = ag.zeros((B, cell.hidden_dim), dtype=seq.dtype)
+    states = []
+    for t in range(T):
+        x = seq[:, t, :]
+        joint = ag.concat([h, x], axis=1)
+        z = ag.sigmoid(cell.Wz(joint))
+        r = ag.sigmoid(cell.Wr(joint))
+        cand = ag.tanh(cell.Wh(ag.concat([r * h, x], axis=1)))
+        h = (1.0 - z) * h + z * cand
+        states.append(h)
+    return ag.stack(states, axis=1)
 
 
-def test_stripe_split_requires_divisible_height():
-    fm = ag.tensor(np.zeros((1, 2, 6, 4), np.float32))
+def _composed_branch(br, fm, rng):
+    """The branch with one spatial mean per stripe and one GRU run per
+    stripe, as composed graph nodes."""
+    nd = len(fm.shape)
+
+    def spatial_mean(x):
+        return ag.tmean(ag.tmean(x, axis=nd - 1), axis=nd - 2)
+
+    def encode(perframe, cell):
+        states = _composed_gru_encode(cell, perframe) if br.use_gru else perframe
+        return temporal_pool(states, br.pooling, rng)
+
+    g_clip = encode(ag.relu(br.global_reduce(spatial_mean(fm))), br.global_gru)
+    band = fm.shape[-2] // br.n_stripes
+    parts = [encode(ag.relu(br.part_reduce(spatial_mean(fm[..., k * band:(k + 1) * band, :]))),
+                    br.local_gru)
+             for k in range(br.n_stripes)]
+    logits = [br.global_head(g_clip)] + [h(p) for h, p in zip(br.part_heads, parts)]
+    return g_clip, parts, logits
+
+
+def _values_and_grads(fn, leaves):
+    """Values of the outputs `fn` returns, and the gradients of the sum of
+    sum(out * w) with fixed random weights w, for each of `leaves`."""
+    for leaf in leaves:
+        leaf.grad = None
+    outs = fn()
+    total = None
+    for out in outs:
+        w = np.random.default_rng(len(out.data.ravel())).normal(size=out.shape)
+        term = ag.tsum(out * w)
+        total = term if total is None else total + term
+    total.backward()
+    return [o.data for o in outs], [leaf.grad for leaf in leaves]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:  # a parameter the graph does not use (no GRU)
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-10)
+
+
+# --- fused GRU node ----------------------------------------------------------
+
+
+def test_gru_encode_matches_composed_graph_values_and_gradients(rng):
+    cell = GRUCell(4, 5).initialize(3, dtype=np.float64)
+    seq = ag.tensor(rng.normal(size=(3, 5, 4)), requires_grad=True, dtype=np.float64)
+    leaves = cell.parameters() + [seq]
+    got = _values_and_grads(lambda: [gru_encode(cell, seq)], leaves)
+    want = _values_and_grads(lambda: [_composed_gru_encode(cell, seq)], leaves)
+    _assert_same(got[0], want[0])
+    _assert_same(got[1], want[1])
+
+
+def test_gru_encode_is_one_node_and_a_leaf_under_no_grad(rng):
+    cell = GRUCell(3, 4).initialize(0, dtype=np.float64)
+    seq = ag.tensor(rng.normal(size=(2, 3, 3)), requires_grad=True, dtype=np.float64)
+    out = gru_encode(cell, seq)
+    assert out._op == "gru" and out._parents[0] is seq
+    assert set(map(id, out._parents[1:])) == set(map(id, cell.parameters()))
+    with ag.no_grad():
+        leaf = gru_encode(cell, seq)
+    assert leaf._backward is None and leaf._parents == () and not leaf.requires_grad
+    np.testing.assert_array_equal(leaf.data, out.data)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max", "random-sample"])
+@pytest.mark.parametrize("use_gru", [True, False])
+def test_branch_matches_per_stripe_runs(pooling, use_gru, rng):
+    br = _branch(pooling=pooling, use_gru=use_gru)
+    fm = ag.tensor(rng.normal(size=(3, 4, 6, 8, 4)), requires_grad=True, dtype=np.float64)
+    leaves = br.parameters() + [fm]
+
+    def run(branch_fn):
+        g, parts, logits = branch_fn(br, fm, np.random.default_rng(5))
+        return [g] + parts + logits
+
+    got = _values_and_grads(lambda: run(AppearanceBranch.__call__), leaves)
+    want = _values_and_grads(lambda: run(_composed_branch), leaves)
+    _assert_same(got[0], want[0])
+    _assert_same(got[1], want[1])
+
+
+def test_branch_requires_divisible_height():
+    br = _branch()
+    fm = ag.tensor(np.zeros((1, 2, 6, 6, 4), np.float64), dtype=np.float64)
     with pytest.raises(ag.ShapeError):
-        stripe_split(fm, 4)
-
-
-def test_stripe_means_average_to_global_mean(rng):
-    fm = ag.tensor(rng.normal(size=(2, 5, 8, 4)), dtype=np.float64)
-    bands = stripe_split(fm, 4)
-    stripe_means = np.stack([spatial_mean(b).data for b in bands])
-    np.testing.assert_allclose(stripe_means.mean(axis=0), spatial_mean(fm).data,
-                               atol=1e-12)
+        br(fm)
 
 
 # --- GRU --------------------------------------------------------------------

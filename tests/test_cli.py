@@ -122,12 +122,14 @@ def test_full_flow_synth_train_eval_dump(tmp_path, monkeypatch, capsys):
                  "--out", eval_dir] + TINY) == EXIT_OK
     assert os.path.exists(os.path.join(eval_dir, "metrics.tsv"))
     assert os.path.exists(os.path.join(eval_dir, "embeddings.tsv"))
-    metrics = open(os.path.join(eval_dir, "metrics.tsv")).read()
+    with open(os.path.join(eval_dir, "metrics.tsv")) as fh:
+        metrics = fh.read()
     assert "rank-1" in metrics and "mAP" in metrics
     # the raw-pixel baseline on the same test split, in the same format
     _, test_set = train_test_split(load_dataset(data_dir), 2)
     q, g = query_gallery_split([raw_pixel_record(s) for s in test_set.sequences])
-    baseline = open(os.path.join(eval_dir, "baseline.tsv")).read()
+    with open(os.path.join(eval_dir, "baseline.tsv")) as fh:
+        baseline = fh.read()
     assert baseline == metrics_report(evaluate(q, g))
     assert baseline.splitlines()[0] == metrics.splitlines()[0] == "metric\tvalue"
 
@@ -145,7 +147,8 @@ def test_full_flow_synth_train_eval_dump(tmp_path, monkeypatch, capsys):
                  "--out", dump_dir] + TINY) == EXIT_OK
     # one forward, recording no graph; its regions are the dumped ones
     assert len(raw_calls) == 1 and not any(raw_calls[0])
-    regions = open(os.path.join(dump_dir, "regions.tsv")).read().splitlines()
+    with open(os.path.join(dump_dir, "regions.tsv")) as fh:
+        regions = fh.read().splitlines()
     assert regions[0] == "attribute\tframe\ttop\tleft\tbottom\tright"
     rows = [r.split("\t") for r in regions[1:]]
     names = load_dataset(data_dir).schema.names
@@ -197,7 +200,8 @@ def test_config_file_round_trip(tmp_path, capsys):
     out = str(tmp_path / "data")
     assert main(["synth", "--config", str(cfg), "--out", out,
                  "--set", "data.frames_per_seq=4"]) == EXIT_OK
-    manifest = open(os.path.join(out, "manifest.tsv")).read().splitlines()
+    with open(os.path.join(out, "manifest.tsv")) as fh:
+        manifest = fh.read().splitlines()
     # header + 3 ids x 2 seqs
     assert len(manifest) == 1 + 6
 
@@ -207,7 +211,8 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     assert main(["train", "--out", run_dir, "--quiet"] + TINY) == EXIT_OK
     ckpt = os.path.join(run_dir, "checkpoint.zip")
     assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "ok")] + TINY) == EXIT_OK
-    blob = open(ckpt, "rb").read()
+    with open(ckpt, "rb") as fh:
+        blob = fh.read()
     half = str(tmp_path / "half.zip")
     with open(half, "wb") as fh:
         fh.write(blob[:len(blob) // 2])
@@ -304,7 +309,8 @@ def test_manifest_cut_mid_row_names_file_and_line(tmp_path, capsys):
     data_dir = str(tmp_path / "data")
     assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
     manifest = os.path.join(data_dir, "manifest.tsv")
-    text = open(manifest).read()
+    with open(manifest) as fh:
+        text = fh.read()
     cut = text.index("\t", text.index("\n", text.index("\n") + 1) + 1)
     with open(manifest, "w") as fh:
         fh.write(text[:cut + 2])  # header, row 1, then two fields of row 2
@@ -314,10 +320,62 @@ def test_manifest_cut_mid_row_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {manifest}:3: expected 5 fields\n"
 
 
+def _bad_label(ann, manifest):
+    lines = ann.read_text().splitlines(keepends=True)
+    fields = lines[1].split("\t")
+    lines[1] = "\t".join([fields[0], "x" + fields[1]] + fields[2:])
+    ann.write_text("".join(lines))
+    name = lines[0].split("\t")[1].split(":")[0]
+    return f"{ann}:2: label of {name} 'x{fields[1]}' is not an integer"
+
+
+def _identity_without_annotation(ann, manifest):
+    lines = ann.read_text().splitlines(keepends=True)
+    ann.write_text("".join(lines[:-1]))
+    ident = lines[-1].split("\t")[0]
+    rows = manifest.read_text().splitlines()
+    lineno = 1 + next(i for i, row in enumerate(rows[1:], 1) if row.split("\t")[1] == ident)
+    return f"{manifest}:{lineno}: identity {ident} is not in {ann}"
+
+
+def _float_frame_count(ann, manifest):
+    rows = manifest.read_text().splitlines(keepends=True)
+    fields = rows[1].split("\t")
+    fields[3] += ".0"
+    rows[1] = "\t".join(fields)
+    manifest.write_text("".join(rows))
+    return f"{manifest}:2: frame_count '{fields[3]}' is not an integer"
+
+
+def _wrong_frame_count(ann, manifest):
+    rows = manifest.read_text().splitlines(keepends=True)
+    fields = rows[1].split("\t")
+    count = int(fields[3])
+    fields[3] = str(count + 1)
+    rows[1] = "\t".join(fields)
+    manifest.write_text("".join(rows))
+    path = manifest.parent / fields[4].strip()
+    return f"{manifest}:2: frame_count {count + 1}, but {path} holds {count} frames"
+
+
+@pytest.mark.parametrize("corrupt", [_bad_label, _identity_without_annotation,
+                                     _float_frame_count, _wrong_frame_count],
+                         ids=["label", "identity", "frame_count", "frame_count_mismatch"])
+def test_malformed_data_field_names_file_and_line(tmp_path, capsys, corrupt):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir)] + TINY) == EXIT_OK
+    message = corrupt(data_dir / "annotations.tsv", data_dir / "manifest.tsv")
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "run")] + TINY)
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_non_finite_frame_names_file(tmp_path, capsys):
     data_dir = str(tmp_path / "data")
     assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
-    rel = open(os.path.join(data_dir, "manifest.tsv")).read().splitlines()[1].split("\t")[-1]
+    with open(os.path.join(data_dir, "manifest.tsv")) as fh:
+        rel = fh.read().splitlines()[1].split("\t")[-1]
     path = os.path.join(data_dir, rel)
     frames = np.load(path)
     frames[0, 0, 0, 0] = np.nan
@@ -349,7 +407,8 @@ def test_float64_frames_train_as_the_float32_ones(tmp_path, capsys):
 def test_frame_stack_that_is_not_4d_floating_names_file(tmp_path, capsys, recast, found):
     data_dir = str(tmp_path / "data")
     assert main(["synth", "--out", data_dir] + TINY) == EXIT_OK
-    rel = open(os.path.join(data_dir, "manifest.tsv")).read().splitlines()[1].split("\t")[-1]
+    with open(os.path.join(data_dir, "manifest.tsv")) as fh:
+        rel = fh.read().splitlines()[1].split("\t")[-1]
     path = os.path.join(data_dir, rel)
     np.save(path, recast(np.load(path)))
     capsys.readouterr()

@@ -10,9 +10,11 @@ from talnet import autograd as ag
 from talnet.gradcheck import grad_check
 from talnet.losses import ce_label_smooth
 from talnet.ts_context import (AttentionScorer, AttributeHeads, TSGRUCell,
-                               TemporalSemanticBlock, attribute_readout,
-                               build_context, first_pass, second_pass,
-                               ts_gru_step)
+                               TemporalSemanticBlock, _cell_arrays, _step,
+                               attribute_readout, build_context, first_pass,
+                               second_pass, ts_gru_step)
+
+from test_appearance import _assert_same, _values_and_grads
 
 # --- scalar-loop oracles (no autograd, plain numpy) ----------------------
 
@@ -141,11 +143,12 @@ def test_step_matches_scalar_oracle(seed):
 
 def test_gates_strictly_in_unit_interval(rng):
     cell = _cell64(3, 4, 7)
-    v = ag.tensor(rng.normal(scale=3.0, size=(5, 3)), dtype=np.float64)
-    h = ag.tensor(rng.normal(scale=3.0, size=(5, 4)), dtype=np.float64)
-    z_a, z_t, r_a, r_t, _ = cell.gates(v, h, h)
-    for g in (z_a, z_t, r_a, r_t):
-        assert np.all(g.data > 0) and np.all(g.data < 1)
+    v = rng.normal(scale=3.0, size=(5, 3))
+    h = rng.normal(scale=3.0, size=(5, 4))
+    w_x, b_x, u_a, u_t, u_h = _cell_arrays(cell)
+    _, act, _ = _step(v @ w_x.T + b_x, h, h, u_a, u_t, u_h)
+    gates = act[:, :16]  # zA, rA, zT, rT
+    assert np.all(gates > 0) and np.all(gates < 1)
 
 
 # --- first_pass -----------------------------------------------------------
@@ -324,6 +327,74 @@ def test_non_finite_cell_is_named(pass_name):
             first_pass(cell, v)
         else:
             second_pass(cell, v, ones, ones)
+
+
+# --- fused lattice node vs the composed graph -------------------------------
+
+
+def _composed_pass(cell, v, a_s=None, a_t=None):
+    """A lattice pass built from elementwise, concat, slice and Linear graph
+    nodes, one cell at a time in raster order: the reference for the
+    one-node passes."""
+    B, N, T, _ = v.shape
+    zero = ag.zeros((B, cell.hidden_dim), dtype=v.dtype)
+    h = {}
+    for a in range(N):
+        for t in range(T):
+            h_attr = h[a - 1, t] if a > 0 else zero
+            h_time = h[a, t - 1] if t > 0 else zero
+            x = v[:, a, t, :]
+            xa = ag.concat([h_attr, x], axis=1)
+            xt = ag.concat([h_time, x], axis=1)
+            z_a = ag.sigmoid(cell.Wz_A(xa))
+            z_t = ag.sigmoid(cell.Wz_T(xt))
+            r_a = ag.sigmoid(cell.Wr_A(xa))
+            r_t = ag.sigmoid(cell.Wr_T(xt))
+            cand = ag.tanh(cell.Wh(ag.concat([r_a * h_attr, r_t * h_time, x], axis=1)))
+            if a_s is not None:
+                z_a = a_s[:, a, t].reshape((B, 1)) * z_a
+                z_t = a_t[:, a, t].reshape((B, 1)) * z_t
+            h[a, t] = z_a * h_attr + z_t * h_time + (1.0 - z_a - z_t) * cand
+    rows = [ag.stack([h[a, t] for t in range(T)], axis=1) for a in range(N)]
+    return ag.stack(rows, axis=1)
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["first_pass", "second_pass"])
+@pytest.mark.parametrize("N,T", [(3, 5), (5, 3), (1, 4)])
+def test_pass_matches_composed_graph_values_and_gradients(N, T, scored):
+    rng = np.random.default_rng(100 * N + T)
+    cell = _cell64(3, 4, N + T)
+    v = ag.tensor(rng.normal(size=(2, N, T, 3)), requires_grad=True, dtype=np.float64)
+    leaves = cell.parameters() + [v]
+    args = ()
+    if scored:
+        args = tuple(ag.tensor(rng.uniform(size=(2, N, T)), requires_grad=True,
+                               dtype=np.float64) for _ in range(2))
+        leaves += list(args)
+
+    def fused():
+        return second_pass(cell, v, *args) if scored else first_pass(cell, v)
+
+    got = _values_and_grads(lambda: [fused()], leaves)
+    want = _values_and_grads(lambda: [_composed_pass(cell, v, *args)], leaves)
+    assert all(g is not None for g in want[1])
+    _assert_same(got[0], want[0])
+    _assert_same(got[1], want[1])
+
+
+def test_pass_is_one_node_and_a_leaf_under_no_grad():
+    rng = np.random.default_rng(21)
+    cell = _cell64(3, 4, 0)
+    v = ag.tensor(rng.normal(size=(2, 3, 2, 3)), requires_grad=True, dtype=np.float64)
+    a_s, a_t = (ag.tensor(rng.uniform(size=(2, 3, 2)), dtype=np.float64) for _ in range(2))
+    for run in (lambda: first_pass(cell, v), lambda: second_pass(cell, v, a_s, a_t)):
+        out = run()
+        assert out._op == "ts_gru" and out._parents[0] is v
+        assert set(map(id, cell.parameters())) <= set(map(id, out._parents))
+        with ag.no_grad():
+            leaf = run()
+        assert leaf._backward is None and leaf._parents == () and not leaf.requires_grad
+        np.testing.assert_array_equal(leaf.data, out.data)
 
 
 # --- readout and heads --------------------------------------------------------
