@@ -1,5 +1,9 @@
 """Spatial attention: per-attribute affine region heads and differentiable
-region pooling with separable bilinear (tent) weights."""
+region pooling with separable bilinear (tent) weights.
+
+The pooling of all of a batch's regions is one autograd node (op tag
+"region_pool"): numpy builds every region's row and column tents, and one
+batched GEMM pools the map under their outer products."""
 
 from __future__ import annotations
 
@@ -134,68 +138,121 @@ class SpatialAttentionBlock(Module):
                 for n, (head, offset) in enumerate(zip(self.heads, self.offsets))]
 
     def affine_tensors(self, raw):
-        """Squashed (s_x, s_y, t_x, t_y) tensors, each (B,).
+        """Squashed (s_x, s_y, t_x, t_y) tensors of raw (..., 4) affines,
+        each of shape (...).
 
         s = sigma(raw_s); t_x = sigma(raw_t) * H * (1 - s_x) (and analogously
         for t_y with W), which pins the region inside [0,H] x [0,W] for any
         raw value.
         """
         H, W = self.frame_hw
-        s_x = ag.sigmoid(raw[:, 0])
-        s_y = ag.sigmoid(raw[:, 1])
-        t_x = ag.sigmoid(raw[:, 2]) * float(H) * (1.0 - s_x)
-        t_y = ag.sigmoid(raw[:, 3]) * float(W) * (1.0 - s_y)
+        s_x = ag.sigmoid(raw[..., 0])
+        s_y = ag.sigmoid(raw[..., 1])
+        t_x = ag.sigmoid(raw[..., 2]) * float(H) * (1.0 - s_x)
+        t_y = ag.sigmoid(raw[..., 3]) * float(W) * (1.0 - s_y)
         return s_x, s_y, t_x, t_y
 
     def region_feature(self, t_p, s_x, s_y, t_x, t_y):
-        """Mean of the region's Hm x Wm bilinear samples, projected to d_v.
-
-        The sample grid has the primitive map's own resolution, so a
-        full-frame region reproduces exact cell values (and hence the global
-        mean pool). Region extent is floored at one feature-map cell, and
-        samples are clamped to the border. The bilinear kernel is separable
-        (Jaderberg et al. 2015, eq. 5), so the grid mean is
-        sum_hw wr[h] t_p[:, :, h, w] wc[w] / (Hm*Wm), where wr and wc sum
-        the row and column tents of all samples.
-        """
-        H, W = self.frame_hw
-        B, C, Hm, Wm = t_p.shape
-        top = t_x * ((Hm - 1) / H)
-        left = t_y * ((Wm - 1) / W)
-        ext_r = ag.relu(s_x * float(Hm - 1) - 1.0) + 1.0
-        ext_c = ag.relu(s_y * float(Wm - 1) - 1.0) + 1.0
-        wr = tent_weights(top, ext_r, Hm)
-        wc = tent_weights(left, ext_c, Wm)
-        x = ag.matmul(t_p.reshape((B, C * Hm, Wm)), wc.reshape((B, Wm, 1)))
-        x = ag.matmul(x.reshape((B, C, Hm)), wr.reshape((B, Hm, 1)))
-        return self.project(x.reshape((B, C)) / float(Hm * Wm))
+        """One region per map, (B,) squashed affines -> (B, d_v): the
+        `region_pool` mean of its samples, projected to d_v."""
+        B = t_p.shape[0]
+        region = (v.reshape((B, 1)) for v in (s_x, s_y, t_x, t_y))
+        return self.project(region_pool(t_p, *region, self.frame_hw).reshape((B, -1)))
 
     def __call__(self, fm):
         """fm: (B, Cf, Hm, Wm) per-frame maps -> ((B, N, d_v) initial
         features, regions): per attribute the squashed (s_x, s_y, t_x, t_y)
-        tensors its feature was pooled from; no regions without attention."""
+        tensors its feature was pooled from; no regions without attention.
+        The N regions are squashed, pooled and projected together."""
         t_p = self.primitive_map(fm)
+        B, N = t_p.shape[0], self.n_attributes
         if not self.use_attention:
-            feats = [self.project(ag.tmean(ag.tmean(t_p, axis=3), axis=2))
-                     for _ in range(self.n_attributes)]
-            return ag.stack(feats, axis=1), []
-        regions = [self.affine_tensors(raw) for raw in self.raw_affines(t_p)]
-        feats = [self.region_feature(t_p, *region) for region in regions]
-        return ag.stack(feats, axis=1), regions  # (B, N, d_v)
+            feat = self.project(ag.tmean(ag.tmean(t_p, axis=3), axis=2))
+            return ag.stack([feat] * N, axis=1), []
+        affines = self.affine_tensors(ag.stack(self.raw_affines(t_p), axis=1))  # 4 x (B, N)
+        pooled = region_pool(t_p, *affines, self.frame_hw).reshape((B * N, -1))
+        regions = [tuple(ag.Tensor(v.data[:, n]) for v in affines) for n in range(N)]
+        return self.project(pooled).reshape((B, N, -1)), regions
 
 
-def tent_weights(start, extent, n):
-    """Summed bilinear weights of n samples spread evenly over a segment.
+def region_pool(t_p, s_x, s_y, t_x, t_y, frame_hw):
+    """Mean of every region's Hm x Wm bilinear samples, as one graph node
+    (op tag "region_pool").
 
-    Sample i sits at start + extent * i / (n - 1), clamped to [0, n - 1];
-    knot k receives sum_i relu(1 - |sample_i - k|). start, extent: (B,).
-    Returns (B, n) in `start`'s dtype.
+    t_p: (B, C, Hm, Wm) primitive maps; s_x, s_y, t_x, t_y: (B, N) squashed
+    affines of N regions per map, in frame coordinates (H, W) = frame_hw.
+    Returns (B, N, C). The sample grid has the primitive map's own
+    resolution, so a full-frame region reproduces exact cell values (and
+    hence the global mean pool). Region extent is floored at one feature-map
+    cell, and samples are clamped to the border. The bilinear kernel is
+    separable (Jaderberg et al. 2015, eq. 5), so the grid mean is
+    sum_hw wr[h] wc[w] t_p[:, :, h, w] / (Hm*Wm), where wr and wc sum the row
+    and column tents of all samples. The outer products wr wc^T of all
+    regions are one (B, N, Hm*Wm) array, and one batched GEMM pools them; the
+    map's gradient is one more. Every array is in t_p's dtype; the masks and
+    slopes of the tents' backward are kept only when the node is recorded.
     """
-    B = start.shape[0]
-    frac = np.linspace(0.0, 1.0, n).astype(start.dtype)
-    knots = np.arange(n, dtype=start.dtype)
-    pos = start.reshape((B, 1)) + extent.reshape((B, 1)) * ag.Tensor(frac[None, :])
-    pos = ag.relu(pos) - ag.relu(pos - float(n - 1))
-    d = pos.reshape((B, n, 1)) - ag.Tensor(knots[None, None, :])
-    tent = ag.relu(1.0 - (ag.relu(d) + ag.relu(-d)))
-    return ag.tsum(tent, axis=1)
+    H, W = frame_hw
+    B, C, Hm, Wm = t_p.shape
+    N = s_x.shape[1]
+    parents = (t_p, s_x, s_y, t_x, t_y)
+    keep = ag._records(parents)
+    x = t_p.data.reshape(B, C, Hm * Wm)
+    row_scale, col_scale = (Hm - 1) / H, (Wm - 1) / W
+
+    def data(v):
+        return np.asarray(v.data, dtype=t_p.dtype)
+
+    wr, rows = _tents(data(t_x), data(s_x), row_scale, Hm, keep)
+    wc, cols = _tents(data(t_y), data(s_y), col_scale, Wm, keep)
+    w = (wr[..., :, None] * wc[..., None, :]).reshape(B, N, Hm * Wm) / (Hm * Wm)
+    out = w @ x.transpose(0, 2, 1)
+
+    def bwd(g):
+        if t_p.requires_grad:
+            ag._accum_fresh(t_p, (g.transpose(0, 2, 1) @ w).reshape(t_p.shape))
+        douter = (g @ x).reshape(B, N, Hm, Wm) / (Hm * Wm)
+        dt_x, ds_x = _tents_grad((douter * wc[..., None, :]).sum(axis=3), rows, row_scale, Hm)
+        dt_y, ds_y = _tents_grad((douter * wr[..., :, None]).sum(axis=2), cols, col_scale, Wm)
+        for v, grad in ((s_x, ds_x), (s_y, ds_y), (t_x, dt_x), (t_y, dt_y)):
+            ag._accum_fresh(v, grad.astype(v.dtype, copy=False))
+
+    return ag._make(out, parents, bwd, "region_pool")
+
+
+def _fracs(n, dtype):
+    return np.linspace(0.0, 1.0, n).astype(dtype)
+
+
+def _tents(t, s, scale, n, keep):
+    """One axis of `region_pool`: offsets t and scales s (B, N) -> the summed
+    tents (B, N, n) of each region's n samples, and what the backward reads
+    if `keep`.
+
+    Sample i sits at t * scale + extent * i / (n - 1), clamped to [0, n - 1],
+    where extent = max(s * (n - 1), 1); knot k receives
+    sum_i max(1 - |sample_i - k|, 0).
+    """
+    grow = s * float(n - 1) - 1.0
+    pos = (t * scale)[..., None] + (np.maximum(grow, 0.0) + 1.0)[..., None] * _fracs(n, t.dtype)
+    d = np.clip(pos, 0.0, n - 1.0)[..., None] - np.arange(n, dtype=t.dtype)  # (B, N, i, k)
+    dist = np.abs(d)
+    tents = np.maximum(1.0 - dist, 0.0).sum(axis=2)
+    if not keep:
+        return tents, None
+    # the subgradients of the clamp, |d| and max written as relu graphs with
+    # relu'(0) = 0: |d| has slope 0 at d = 0, and a sample on a tent's edge
+    # or an extent on its floor passes no gradient. A clamped sample sits on
+    # a knot, 0 or n - 1, where every tent's slope is 0, so the clamp needs
+    # no mask of its own.
+    slope = -np.sign(d) * (dist < 1.0)
+    return tents, (slope, grow > 0.0)
+
+
+def _tents_grad(g, saved, scale, n):
+    """(offset, scale) gradients (B, N) of one axis from the gradient g
+    (B, N, n) of its summed tents."""
+    slope, grown = saved
+    dpos = (slope * g[..., None, :]).sum(axis=3)
+    dextent = (dpos * _fracs(n, dpos.dtype)).sum(axis=2)
+    return dpos.sum(axis=2) * scale, dextent * float(n - 1) * grown

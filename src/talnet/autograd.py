@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff on dense numpy arrays.
 
 Covers exactly the primitive set the network needs: matmul, elementwise
-arithmetic with broadcasting, concat/slice/reshape, sigmoid/tanh/relu,
+arithmetic with broadcasting, concat/slice/reshape, sigmoid/relu/log/square,
 softmax / mean / max over an axis, means over non-overlapping windows
 (`avg_pool`), and stride-1 conv2d. conv2d is row-lowered (MEC, Cho & Brand
 2017): width-only patch rows (H, B*Wo, kw*C), one GEMM per kernel row, and
@@ -20,8 +20,9 @@ its input's, so a stray promotion fails loudly instead of mixing dtypes.
 
 Layer-level fused nodes live in their own modules and are built with
 `_make`: the batch-hard triplet loss in `losses`, the GRU recurrence
-(`gru`) in `appearance` and each TS-GRU lattice pass (`ts_gru`) in
-`ts_context`.
+(`gru`) in `appearance`, each TS-GRU lattice pass (`ts_gru`) in
+`ts_context` and the attribute-region pooling (`region_pool`) in
+`attention`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "set_check_finite",
     "no_grad",
     "tensor",
-    "zeros",
     "add",
     "sub",
     "mul",
@@ -53,7 +53,6 @@ __all__ = [
     "reshape",
     "transpose",
     "sigmoid",
-    "tanh",
     "relu",
     "log",
     "square",
@@ -210,10 +209,6 @@ class Tensor:
 
 def tensor(data, requires_grad=False, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=np.float32, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def _as_tensor(x):
@@ -429,7 +424,6 @@ def _sigmoid(x):
 # fresh array. relu's is a mask multiply, not np.where.
 _UNARY = {
     "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
-    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
     "log": (np.log, lambda g, x, y: g / x),
     "square": (lambda x: x * x, lambda g, x, y: 2.0 * g * x),
@@ -450,10 +444,6 @@ def _unary(op, a):
 
 def sigmoid(a):
     return _unary("sigmoid", a)
-
-
-def tanh(a):
-    return _unary("tanh", a)
 
 
 def relu(a):

@@ -10,6 +10,8 @@ from talnet.appearance import AppearanceBranch, GRUCell, gru_encode, temporal_po
 from talnet.gradcheck import grad_check
 from talnet.losses import ce_label_smooth
 
+from oracle_ops import tanh, zeros
+
 
 def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -41,14 +43,14 @@ def _composed_gru_encode(cell, seq):
     """The GRU built from elementwise, concat and Linear graph nodes, one
     step at a time: the reference for the one-node `gru_encode`."""
     B, T, _ = seq.shape
-    h = ag.zeros((B, cell.hidden_dim), dtype=seq.dtype)
+    h = zeros((B, cell.hidden_dim), dtype=seq.dtype)
     states = []
     for t in range(T):
         x = seq[:, t, :]
         joint = ag.concat([h, x], axis=1)
         z = ag.sigmoid(cell.Wz(joint))
         r = ag.sigmoid(cell.Wr(joint))
-        cand = ag.tanh(cell.Wh(ag.concat([r * h, x], axis=1)))
+        cand = tanh(cell.Wh(ag.concat([r * h, x], axis=1)))
         h = (1.0 - z) * h + z * cand
         states.append(h)
     return ag.stack(states, axis=1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from talnet import autograd as ag
 from talnet.attention import (AffineParams, SpatialAttentionBlock, adaptive_mean_pool,
-                              region_vertices)
+                              region_pool, region_vertices)
 from talnet.gradcheck import grad_check
 
 
@@ -288,7 +288,15 @@ def test_block_returns_the_regions_it_pooled():
         assert len(region) == 4 and all(r.shape == (4,) for r in region)
         for got, w in zip(region, want):
             np.testing.assert_array_equal(got.data, w.data)
-        np.testing.assert_array_equal(v.data[:, n], block.region_feature(t_p, *region).data)
+        # one region alone pools with GEMMs of other shapes than all three
+        # together, so it matches to float32 rounding, not bit for bit
+        np.testing.assert_allclose(v.data[:, n], block.region_feature(t_p, *region).data,
+                                   rtol=1e-5, atol=1e-6)
+    # bit for bit, the features are the returned regions pooled together
+    affines = [ag.Tensor(np.stack([region[k].data for region in regions], axis=1))
+               for k in range(4)]
+    pooled = region_pool(t_p, *affines, block.frame_hw).reshape((12, -1))
+    np.testing.assert_array_equal(v.data, block.project(pooled).data.reshape(4, 3, 5))
 
 
 def test_block_without_attention_has_no_heads_and_no_regions():
@@ -300,3 +308,122 @@ def test_block_without_attention_has_no_heads_and_no_regions():
     pooled = block.project(ag.tmean(ag.tmean(block.primitive_map(fm), axis=3), axis=2))
     for n in range(3):
         np.testing.assert_array_equal(v.data[:, n], pooled.data)
+
+
+# --- the one-node region pooling vs the composed graph ------------------------
+
+
+def _tent_weights(start, extent, n):
+    """Summed bilinear weights of n samples spread evenly over a segment.
+
+    Sample i sits at start + extent * i / (n - 1), clamped to [0, n - 1];
+    knot k receives sum_i relu(1 - |sample_i - k|). start, extent: (B,).
+    Returns (B, n) in `start`'s dtype.
+    """
+    B = start.shape[0]
+    frac = np.linspace(0.0, 1.0, n).astype(start.dtype)
+    knots = np.arange(n, dtype=start.dtype)
+    pos = start.reshape((B, 1)) + extent.reshape((B, 1)) * ag.Tensor(frac[None, :])
+    pos = ag.relu(pos) - ag.relu(pos - float(n - 1))
+    d = pos.reshape((B, n, 1)) - ag.Tensor(knots[None, None, :])
+    tent = ag.relu(1.0 - (ag.relu(d) + ag.relu(-d)))
+    return ag.tsum(tent, axis=1)
+
+
+def _composed_region_pool(t_p, s_x, s_y, t_x, t_y, frame_hw):
+    """The region pooling built from elementwise, relu, sum and matmul graph
+    nodes, one region at a time: the reference for the one-node
+    `region_pool`. s_x, s_y, t_x, t_y: (B, N) -> (B, N, C)."""
+    H, W = frame_hw
+    B, C, Hm, Wm = t_p.shape
+    feats = []
+    for n in range(s_x.shape[1]):
+        top = t_x[:, n] * ((Hm - 1) / H)
+        left = t_y[:, n] * ((Wm - 1) / W)
+        ext_r = ag.relu(s_x[:, n] * float(Hm - 1) - 1.0) + 1.0
+        ext_c = ag.relu(s_y[:, n] * float(Wm - 1) - 1.0) + 1.0
+        wr = _tent_weights(top, ext_r, Hm)
+        wc = _tent_weights(left, ext_c, Wm)
+        x = ag.matmul(t_p.reshape((B, C * Hm, Wm)), wc.reshape((B, Wm, 1)))
+        x = ag.matmul(x.reshape((B, C, Hm)), wr.reshape((B, Hm, 1)))
+        feats.append(x.reshape((B, C)) / float(Hm * Wm))
+    return ag.stack(feats, axis=1)
+
+
+# (s_x, s_y, t_x, t_y) of the N = 3 regions of each case, in a 32 x 16 frame
+POOL_CASES = {
+    # every sample on a knot; the first sits on 0, the last on n - 1, and
+    # each is a tent edge (|d| = 1) for its neighbours
+    "full_frame": [(1.0, 1.0, 0.0, 0.0), (0.5, 1.0, 16.0, 0.0), (1.0, 0.5, 0.0, 8.0)],
+    # extents below one cell floored to one, and one exactly on the floor
+    "degenerate": [(1e-6, 1e-6, 5.0, 2.0), (1 / 7, 1 / 3, 9.0, 3.0), (0.0, 0.0, 0.0, 16.0)],
+    # samples clamped at the far border, the near border, and both
+    "clamped": [(0.9, 0.8, 30.0, 14.0), (0.7, 0.5, -9.0, -4.0), (1.6, 1.7, -8.0, -5.0)],
+    "interior": [(0.31, 0.47, 7.3, 2.9), (0.62, 0.28, 3.1, 6.7), (0.44, 0.83, 12.6, 1.3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+@pytest.mark.parametrize("hw", [(8, 4), (3, 4), (5, 1)])
+def test_region_pool_matches_composed_graph_values_and_gradients(case, hw):
+    rng = np.random.default_rng(hw[0] * 10 + hw[1])
+    B, C = 2, 6
+    t_p = ag.tensor(rng.normal(size=(B, C) + hw), dtype=np.float64, requires_grad=True)
+    # the second map's regions are the first's, moved down and right
+    params = np.array(POOL_CASES[case]).T  # (4, N)
+    params = np.stack([params, params + np.array([[0.0], [0.0], [1.0], [0.5]])], axis=1)
+    affines = [ag.tensor(p, dtype=np.float64, requires_grad=True) for p in params]
+    g = rng.normal(size=(B, 3, C))
+    leaves = [t_p] + affines
+
+    def grads(pool):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = pool(t_p, *affines, (32, 16))
+        ag.tsum(out * ag.tensor(g, dtype=np.float64)).backward()
+        return out.data, [leaf.grad.copy() for leaf in leaves]
+
+    got, got_grads = grads(region_pool)
+    want, want_grads = grads(_composed_region_pool)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    for name, a, b in zip(("t_p", "s_x", "s_y", "t_x", "t_y"), got_grads, want_grads):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_region_pool_is_one_node_in_the_map_dtype(dtype):
+    rng = np.random.default_rng(3)
+    t_p = ag.tensor(rng.normal(size=(2, 4, 8, 4)), dtype=dtype, requires_grad=True)
+    affines = [ag.tensor(rng.uniform(0.2, 0.8, size=(2, 3)), dtype=dtype, requires_grad=True)
+               for _ in range(4)]
+    out = region_pool(t_p, *affines, (32, 16))
+    assert out.shape == (2, 3, 4) and out.dtype == dtype
+    assert out._op == "region_pool" and out._parents == (t_p, *affines)
+    assert all(p._op == "leaf" for p in out._parents)
+    ag.tsum(out).backward()
+    assert all(leaf.grad.dtype == dtype for leaf in [t_p] + affines)
+    with ag.no_grad():
+        leaf = region_pool(t_p, *affines, (32, 16))
+    assert leaf._parents == () and leaf._backward is None and not leaf.requires_grad
+    np.testing.assert_array_equal(leaf.data, out.data)
+
+
+def _graph_ops(root):
+    seen, stack, ops = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def test_block_pools_and_projects_every_region_once():
+    block = _block(n_attributes=4)
+    fm = ag.tensor(np.random.default_rng(9).normal(size=(3, 6, 8, 4)).astype(np.float32))
+    v, _ = block(fm)
+    ops = _graph_ops(v)
+    assert ops.count("region_pool") == 1
+    # one stack of the raw affines, four sigmoids for the squash
+    assert ops.count("stack") == 1 and ops.count("sigmoid") == 4

@@ -439,7 +439,7 @@ def test_composed_graph_matches_finite_differences(seed):
     x = ag.tensor(rng.normal(size=(4, 6)), dtype=np.float64)
 
     def f():
-        h = ag.tanh(ag.matmul(x, probe.w1))
+        h = ag.sigmoid(ag.matmul(x, probe.w1))
         logits = ag.matmul(h, probe.w2) + probe.b
         p = ag.softmax(logits, axis=1)
         return ag.tmean(ag.square(p - ag.tensor(0.3, dtype=np.float64)))
@@ -499,9 +499,9 @@ def test_no_grad_outputs_are_plain_leaves():
     w = ag.tensor(np.ones((3, 2)), dtype=np.float64, requires_grad=True)
     x = ag.tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64)
     with ag.no_grad():
-        y = ag.tanh(ag.matmul(x, w))[0:1]
+        y = ag.sigmoid(ag.matmul(x, w))[0:1]
     assert y._parents == () and y._backward is None and not y.requires_grad
-    np.testing.assert_array_equal(y.data, np.tanh(x.data @ w.data)[0:1])
+    np.testing.assert_array_equal(y.data, (1.0 / (1.0 + np.exp(-(x.data @ w.data))))[0:1])
 
 
 def test_no_grad_restores_flag_after_nesting_and_exceptions():
@@ -545,20 +545,20 @@ def test_slice_backward_matches_add_at(idx):
 # --- first-gradient adoption ------------------------------------------------
 
 
-@pytest.mark.parametrize("order", [("relu", "tanh", "conv", "mean", "sum"),
-                                   ("conv", "tanh", "relu", "sum", "mean"),
-                                   ("tanh", "relu", "conv", "mean", "sum"),
-                                   ("mean", "conv", "sum", "relu", "tanh"),
-                                   ("sum", "mean", "tanh", "conv", "relu")])
+@pytest.mark.parametrize("order", [("relu", "sigmoid", "conv", "mean", "sum"),
+                                   ("conv", "sigmoid", "relu", "sum", "mean"),
+                                   ("sigmoid", "relu", "conv", "mean", "sum"),
+                                   ("mean", "conv", "sum", "relu", "sigmoid"),
+                                   ("sum", "mean", "sigmoid", "conv", "relu")])
 def test_adopted_first_gradient_sums_every_consumer(order):
-    # x feeds relu (adopts its mask product), tanh (accumulates a copy), a
+    # x feeds relu (adopts its mask product), sigmoid (adopts its product), a
     # conv2d (adopts its col2im buffer), a mean and a sum (each adopts its
     # broadcast gradient); the relu output also feeds an add whose backward
     # passes the same upstream array to both of its operands
     rng = np.random.default_rng(21)
     x = ag.tensor(rng.normal(size=(2, 3, 5, 4)), dtype=np.float64, requires_grad=True)
     w = ag.tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64)
-    g_relu, g_tanh = rng.normal(size=x.shape), rng.normal(size=x.shape)
+    g_relu, g_sig = rng.normal(size=x.shape), rng.normal(size=x.shape)
     g_conv = rng.normal(size=(2, 2, 5, 4))
     g_mean, g_sum = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5, 1))
     nodes = {}
@@ -568,9 +568,9 @@ def test_adopted_first_gradient_sums_every_consumer(order):
             r = nodes["relu"] = ag.relu(x)
             s = nodes["add"] = r + r
             return ag.tsum(ag.mul(s, ag.tensor(g_relu, dtype=np.float64)))
-        if name == "tanh":
-            t = nodes["tanh"] = ag.tanh(x)
-            return ag.tsum(ag.mul(t, ag.tensor(g_tanh, dtype=np.float64)))
+        if name == "sigmoid":
+            t = nodes["sigmoid"] = ag.sigmoid(x)
+            return ag.tsum(ag.mul(t, ag.tensor(g_sig, dtype=np.float64)))
         if name == "mean":
             m = nodes["mean"] = ag.tmean(x, axis=2)
             return ag.tsum(ag.mul(m, ag.tensor(g_mean, dtype=np.float64)))
@@ -585,7 +585,8 @@ def test_adopted_first_gradient_sums_every_consumer(order):
         loss = loss + term(name)
     loss.backward()
     _, conv_dx, _, _ = _conv2d_oracle(x.data, w.data, np.zeros(2), 1, g_conv)
-    want = (2 * g_relu * (x.data > 0) + g_tanh * (1 - np.tanh(x.data) ** 2)
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+    want = (2 * g_relu * (x.data > 0) + g_sig * sig * (1 - sig)
             + conv_dx + g_mean[:, :, None, :] / 5 + g_sum)
     np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(nodes["relu"].grad, 2 * g_relu)

@@ -14,6 +14,7 @@ from talnet.ts_context import (AttentionScorer, AttributeHeads, TSGRUCell,
                                attribute_readout, build_context, first_pass,
                                second_pass, ts_gru_step)
 
+from oracle_ops import tanh, zeros
 from test_appearance import _assert_same, _values_and_grads
 
 # --- scalar-loop oracles (no autograd, plain numpy) ----------------------
@@ -337,7 +338,7 @@ def _composed_pass(cell, v, a_s=None, a_t=None):
     nodes, one cell at a time in raster order: the reference for the
     one-node passes."""
     B, N, T, _ = v.shape
-    zero = ag.zeros((B, cell.hidden_dim), dtype=v.dtype)
+    zero = zeros((B, cell.hidden_dim), dtype=v.dtype)
     h = {}
     for a in range(N):
         for t in range(T):
@@ -350,7 +351,7 @@ def _composed_pass(cell, v, a_s=None, a_t=None):
             z_t = ag.sigmoid(cell.Wz_T(xt))
             r_a = ag.sigmoid(cell.Wr_A(xa))
             r_t = ag.sigmoid(cell.Wr_T(xt))
-            cand = ag.tanh(cell.Wh(ag.concat([r_a * h_attr, r_t * h_time, x], axis=1)))
+            cand = tanh(cell.Wh(ag.concat([r_a * h_attr, r_t * h_time, x], axis=1)))
             if a_s is not None:
                 z_a = a_s[:, a, t].reshape((B, 1)) * z_a
                 z_t = a_t[:, a, t].reshape((B, 1)) * z_t
